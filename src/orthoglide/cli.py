@@ -33,6 +33,7 @@ from .core import (
     ManipulatorParams,
     NoDkSolution,
     RadicandNegative,
+    ZeroJoint,
     joint_limits_ok,
     leg_residuals,
 )
@@ -42,6 +43,7 @@ from .jointspace import (
     DEFAULT_DIRECTION_FLOOR,
     SphericalDirection,
     boundary_radius,
+    dk_feasible,
     feasibility_product,
 )
 from .workspace import classify_point, monte_carlo_volumes, workspace_volumes
@@ -235,8 +237,6 @@ def _dk_solution_dict(rho: JointVector, sol, params: ManipulatorParams) -> dict:
 def cmd_dk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     settings = _Settings(args, parser)
     params = settings.params
-    if 0.0 in args.joints:
-        parser.error("joint components must be nonzero")
     rho = JointVector(*args.joints)
     report = _base_report("dk", params, {
         "rho": list(rho),
@@ -251,8 +251,7 @@ def cmd_dk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             error = {"type": "no_solution", "message": str(exc)}
     else:
         solutions = dk_both(rho, params)
-    q = dk_coefficients(rho, params)
-    report["discriminant"] = q.discriminant
+    report["discriminant"] = dk_coefficients(rho, params).discriminant
     report["joint_limits_ok"] = joint_limits_ok(rho, params)
     report["solutions"] = [_dk_solution_dict(rho, s, params) for s in solutions]
     if error:
@@ -401,22 +400,21 @@ def cmd_volumes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def cmd_jointspace_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     settings = _Settings(args, parser)
     params = settings.params
-    if 0.0 in args.joints:
-        parser.error("joint components must be nonzero")
     rho = JointVector(*args.joints)
     product = feasibility_product(rho, params)
+    solutions = dk_both(rho, params)
     limits = joint_limits_ok(rho, params)
-    feasible = product <= 1.0 and limits
+    feasible = dk_feasible(rho, params)
     report = _base_report("jointspace-check", params, {"rho": list(rho)})
     report.update(
         product=product,
-        dk_solvable=product <= 1.0,
+        dk_solvable=bool(solutions),
         joint_limits_ok=limits,
         feasible=feasible,
-        on_boundary=abs(product - 1.0) <= params.eps_geom,
+        on_boundary=len(solutions) == 1,
     )
     _emit(report, args.fmt, ("product", "dk_solvable", "joint_limits_ok", "feasible"),
-          [(product, product <= 1.0, limits, feasible)])
+          [(product, bool(solutions), limits, feasible)])
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
@@ -512,7 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except ZeroJoint as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -55,8 +55,9 @@ class SerialSingularity(_AxisError):
 
 
 class ZeroJoint(_AxisError):
-    """A joint displacement of exactly zero; the direct-kinematics
-    parametrization divides by each joint value."""
+    """A joint displacement the direct-kinematics parametrization cannot
+    divide by: zero, NaN, or below about 1.5e-154 L in magnitude, where the
+    sum of inverse squares times 4L^2 overflows."""
 
 
 class NoDkSolution(KinematicsError):

@@ -7,7 +7,7 @@ centres (rho_x, 0, 0), (0, rho_y, 0), (0, 0, rho_z):
     p_i = rho_i / 2 + t / rho_i
 
 with a scalar parameter t (units length^2).  Substituting back into any leg
-constraint yields a quadratic  a*t^2 + b*t + c = 0  whose two roots are the
+constraint yields a quadratic (``DkQuadratic``) whose two roots are the
 two direct solutions, distinguished by the side of the plane through the
 joint centres (posture index m = -1 below, +1 above).  A zero discriminant
 is the "flat" configuration with TCP on that plane.
@@ -32,7 +32,11 @@ from .core import (
 
 @dataclass(frozen=True, slots=True)
 class DkQuadratic:
-    """Coefficients of the quadratic in t (a: length^4, b: length^6, c: length^8)."""
+    """The quadratic  a*t^2 + b*t + c = 0  normalised to b = 1:
+    a = sum(rho_i^-2) (length^-2), c = (sum(rho_i^2) - 4L^2) / 4 (length^2).
+
+    Its discriminant is the dimensionless 1 - feasibility_product, with zero
+    band ``eps_geom``, so DK and the jointspace test share one formula."""
 
     a: float
     b: float
@@ -58,77 +62,63 @@ def _require_nonzero(rho: JointVector) -> None:
 
 
 def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
-    """Quadratic coefficients for the given joint vector."""
-    _require_nonzero(rho)
-    xy = rho.x * rho.y
-    xz = rho.x * rho.z
-    yz = rho.y * rho.z
-    a = xy * xy + xz * xz + yz * yz
-    b = (rho.x * yz) ** 2
-    c = (rho.x * rho.x + rho.y * rho.y + rho.z * rho.z - 4.0 * params.L * params.L) * b / 4.0
-    return DkQuadratic(a, b, c)
+    """Normalised quadratic coefficients for the given joint vector.
 
-
-def _disc_band(q: DkQuadratic, params: ManipulatorParams) -> float:
-    # b > 0 for nonzero joints, so the band is scale-free in L.
-    return params.eps_geom * q.b * q.b
-
-
-def _stable_roots(q: DkQuadratic) -> tuple[float, float]:
-    """(t_minus, t_plus) with the larger-magnitude root computed first.
-
-    b > 0 here, so -(b + sqrt(disc))/2 has no cancellation; the other root
-    comes from the product c/a.  This only changes evaluation order, not
-    the root values.
+    Raises ZeroJoint for the first axis at which ``4 * a * L^2`` stops being
+    finite: a zero or NaN joint, or one so small next to L that the
+    discriminant would overflow.
     """
-    s = math.sqrt(max(q.discriminant, 0.0))
-    u = -(q.b + s) / 2.0
-    return (u / q.a, q.c / u)
+    L2 = params.L * params.L
+    a = 0.0
+    for axis, ri in zip(AXES, rho):
+        sq = ri * ri
+        a += 1.0 / sq if sq else math.inf
+        # 4aL^2 bounds -4ac, so while it is finite the discriminant is too.
+        if not 4.0 * a * L2 < math.inf:
+            raise ZeroJoint(axis, f"rho_{axis} = {ri!r} is zero, NaN or too small "
+                            "next to L; equidistant line undefined")
+    c = (rho.x * rho.x + rho.y * rho.y + rho.z * rho.z - 4.0 * L2) / 4.0
+    # a * sum(rho_i^2) >= 9, so a underflows to 0 only where c is +inf; a
+    # positive a keeps 4ac at +inf there (no solution) instead of NaN.
+    return DkQuadratic(max(a, math.ulp(0.0)), 1.0, c)
 
 
 def dk_solve(rho: JointVector, posture: int, params: ManipulatorParams) -> DkSolution:
     """Direct solution for one posture index (m = -1 or +1).
 
-    Discriminants within ``eps_geom * b^2`` of zero are clamped to zero, so
-    both postures return the single flat-configuration point there.
+    Inside the discriminant's zero band both postures return the single
+    flat-configuration point, labelled with the requested posture.
     """
     if posture not in (-1, 1):
         raise ValueError(f"posture index must be -1 or +1, got {posture!r}")
-    q = dk_coefficients(rho, params)
-    disc = q.discriminant
-    band = _disc_band(q, params)
-    if disc < -band:
-        raise NoDkSolution(
-            f"discriminant {disc:.6e} < 0: joint vector outside the direct-solution region"
-        )
-    if disc <= band:
-        # Inside the zero band the two roots coincide; taking sqrt of the
-        # floating-point residue would split them by O(sqrt(noise)).
-        t = -q.b / (2.0 * q.a)
-    else:
-        t_minus, t_plus = _stable_roots(q)
-        t = t_minus if posture == -1 else t_plus
-    return DkSolution(p=equidistant_point(rho, t), posture=posture, t_value=t)
+    sols = dk_both(rho, params)
+    if not sols:
+        raise NoDkSolution("joint vector outside the direct-solution region")
+    if len(sols) == 1:
+        return sols[0]._replace(posture=posture)
+    return sols[0] if posture == -1 else sols[1]
 
 
 def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
     """Zero, one, or two direct solutions, ordered m = -1 then m = +1.
 
-    A discriminant inside the zero band yields the single flat solution
-    (t = -b/2a, posture None).  Joint limits are deliberately not applied
-    here; feasibility policy belongs to the jointspace layer, and callers
-    wanting the flag can check ``joint_limits_ok(rho)`` themselves.
+    A discriminant within ``eps_geom`` of zero yields the single flat
+    solution (t = -b/2a, posture None).  Joint limits are deliberately not
+    applied here; feasibility policy belongs to the jointspace layer, and
+    callers wanting the flag can check ``joint_limits_ok(rho)`` themselves.
     """
     q = dk_coefficients(rho, params)
     disc = q.discriminant
-    band = _disc_band(q, params)
-    if disc > band:
-        t_minus, t_plus = _stable_roots(q)
+    if disc > params.eps_geom:
+        # b > 0, so -(b + sqrt(disc))/2 has no cancellation; the other root
+        # comes from the product c/a.
+        u = -(q.b + math.sqrt(disc)) / 2.0
+        t_minus, t_plus = u / q.a, q.c / u
         return [
             DkSolution(p=equidistant_point(rho, t_minus), posture=-1, t_value=t_minus),
             DkSolution(p=equidistant_point(rho, t_plus), posture=1, t_value=t_plus),
         ]
-    if disc >= -band:
+    if disc >= -params.eps_geom:
         t0 = -q.b / (2.0 * q.a)
         return [DkSolution(p=equidistant_point(rho, t0), posture=None, t_value=t0)]
     return []
@@ -159,27 +149,15 @@ def posture_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -
     """Posture index of a known-consistent pair: the side of the
     joint-centre plane the TCP lies on.
 
-    For all-positive joints the sign is taken from the cross-multiplied
-    polynomial form (no divisions); for mixed-sign joints that form flips
-    with the product of the joints, so the normal-vector form is used
-    instead.  Raises FlatConfiguration when the TCP is within
-    ``eps_branch`` (Euclidean distance) of the plane.
+    Raises FlatConfiguration when the TCP is within ``eps_branch``
+    (Euclidean distance) of the plane.
     """
+    # |plane_eval| / sqrt(a) is the Euclidean distance from p to the plane.
+    grad = math.sqrt(dk_coefficients(rho, params).a)
     pe = plane_eval(p, rho)
-    # |pe| / |gradient| is the Euclidean distance from p to the plane.
-    grad = math.sqrt(1.0 / rho.x**2 + 1.0 / rho.y**2 + 1.0 / rho.z**2)
-    if abs(pe) <= params.eps_branch * grad:
+    if not abs(pe) > params.eps_branch * grad:
         raise FlatConfiguration(
             f"TCP within {params.eps_branch:.3e} of the joint-centre plane; "
             "posture indeterminate"
         )
-    if rho.x > 0 and rho.y > 0 and rho.z > 0:
-        val = (
-            p.x * rho.y * rho.z
-            + rho.x * p.y * rho.z
-            + rho.x * rho.y * p.z
-            - rho.x * rho.y * rho.z
-        )
-    else:
-        val = pe
-    return 1 if val > 0 else -1
+    return 1 if pe > 0 else -1

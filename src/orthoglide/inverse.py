@@ -47,19 +47,26 @@ def _radicands(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, flo
 def _half_chords(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, float, float]:
     """sqrt of each axis radicand, clamped to 0 within the tolerance band.
 
-    Raises RadicandNegative for the first axis whose radicand is negative
-    beyond ``eps_geom * L^2`` (the point is outside the reachable cylinder
-    intersection for that axis, so no branch can solve it).
+    Raises RadicandNegative for the first axis whose radicand is not at
+    least ``-eps_geom * L^2`` (the point is outside the reachable cylinder
+    intersection for that axis, or not a number, so no branch can solve it).
     """
     tol = params.eps_geom * params.L * params.L
     chords = []
     for axis, rad in zip(AXES, _radicands(p, params)):
-        if rad < -tol:
+        if not rad >= -tol:
             raise RadicandNegative(
                 axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach"
             )
         chords.append(math.sqrt(rad) if rad > 0.0 else 0.0)
     return tuple(chords)
+
+
+def _branch_joints(
+    p: CartesianPoint, chords: tuple[float, float, float], branch: Branch
+) -> JointVector:
+    hx, hy, hz = chords
+    return JointVector(p.x + branch.sx * hx, p.y + branch.sy * hy, p.z + branch.sz * hz)
 
 
 def ik_branch(p: CartesianPoint, branch: Branch, params: ManipulatorParams) -> IkSolution:
@@ -69,9 +76,7 @@ def ik_branch(p: CartesianPoint, branch: Branch, params: ManipulatorParams) -> I
     branches coincide there; the singular surface is still a valid
     workspace boundary point).
     """
-    hx, hy, hz = _half_chords(p, params)
-    rho = JointVector(p.x + branch.sx * hx, p.y + branch.sy * hy, p.z + branch.sz * hz)
-    return IkSolution(rho=rho, branch=branch)
+    return IkSolution(rho=_branch_joints(p, _half_chords(p, params), branch), branch=branch)
 
 
 def ik_enumerate_feasible(p: CartesianPoint, params: ManipulatorParams) -> list[IkSolution]:
@@ -83,14 +88,12 @@ def ik_enumerate_feasible(p: CartesianPoint, params: ManipulatorParams) -> list[
     workspace classifier is the authority on which case applies).
     """
     try:
-        hx, hy, hz = _half_chords(p, params)
+        chords = _half_chords(p, params)
     except RadicandNegative:
         return []
     out = []
     for branch in BRANCH_ORDER:
-        rho = JointVector(
-            p.x + branch.sx * hx, p.y + branch.sy * hy, p.z + branch.sz * hz
-        )
+        rho = _branch_joints(p, chords, branch)
         if joint_limits_ok(rho, params):
             out.append(IkSolution(rho=rho, branch=branch))
     return out

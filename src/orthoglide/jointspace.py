@@ -4,8 +4,10 @@ Direct kinematics has real solutions exactly where
 
     (rho_x^2 + rho_y^2 + rho_z^2 - 4L^2)(rho_x^-2 + rho_y^-2 + rho_z^-2) <= 1
 
-which, restricted to positive joints, is a star-shaped solid in the first
-octant.  Its boundary admits two representations:
+up to the ``eps_geom`` zero band of the direct-kinematics discriminant,
+which is 1 minus this product.  Restricted to positive joints, the region
+is a star-shaped solid in the first octant.  Its boundary admits two
+representations:
 
   * a biquadratic in rho_x at fixed (rho_y, rho_z), handy for axis-aligned
     slices but asymmetric in the coordinates;
@@ -23,13 +25,12 @@ import math
 from typing import NamedTuple
 
 from .core import (
-    AXES,
     DirectionOnOctantBorder,
     JointVector,
     ManipulatorParams,
-    ZeroJoint,
     joint_limits_ok,
 )
+from .direct import dk_coefficients
 
 #: Smallest direction component boundary_radius accepts.  At the floor the
 #: radius is within ~1e-12 L of 2L, so the octant-edge limit is honoured.
@@ -56,19 +57,19 @@ class SphericalDirection(NamedTuple):
 
 
 def feasibility_product(rho: JointVector, params: ManipulatorParams) -> float:
-    """The jointspace membership product; direct solutions exist iff <= 1."""
-    for axis, ri in zip(AXES, rho):
-        if ri == 0.0:
-            raise ZeroJoint(axis, f"rho_{axis} = 0; feasibility product undefined")
-    sum_sq = rho.x * rho.x + rho.y * rho.y + rho.z * rho.z
-    sum_inv = 1.0 / rho.x**2 + 1.0 / rho.y**2 + 1.0 / rho.z**2
-    return (sum_sq - 4.0 * params.L * params.L) * sum_inv
+    """The jointspace membership product, 4ac of the normalised direct-
+    kinematics quadratic; direct solutions exist iff it is at most
+    1 + eps_geom (its discriminant 1 - product is at least -eps_geom)."""
+    q = dk_coefficients(rho, params)
+    return 4.0 * q.a * q.c
 
 
 def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
-    """True iff the joint vector admits a direct solution *and* respects
-    the actuation range (the positive-octant restriction)."""
-    return feasibility_product(rho, params) <= 1.0 and joint_limits_ok(rho, params)
+    """True iff the joint vector admits a direct solution, in the same
+    zero band as ``dk_both``, *and* respects the actuation range (the
+    positive-octant restriction)."""
+    solvable = dk_coefficients(rho, params).discriminant >= -params.eps_geom
+    return solvable and joint_limits_ok(rho, params)
 
 
 def boundary_radius(

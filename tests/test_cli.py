@@ -18,6 +18,20 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dk", "-L", "1", "-r", "-0.5,0.5,0.5"], 0),
+        # solvable, but a negative joint is outside the actuation range
+        (["jointspace", "check", "-L", "1", "-r", "-.5,0.5,0.5"], 1),
+        (["trajectory", "-L", "1", "-w", "-0.1,0.2,0.3", "-w", "-0.2,0.2,0.3",
+          "--step", "0.05"], 0),
+    ],
+)
+def test_negative_values_parse_as_values(capsys, argv, code):
+    assert run(capsys, argv)[0] == code
+
+
 class TestIkCommand:
     def test_interior_worked_example(self, capsys):
         code, report = run_json(capsys, ["ik", "-L", "1", "-p", "-0.5,0.4,0.3"])
@@ -236,6 +250,17 @@ class TestJointspaceCommand:
         assert code == 0
         assert report["product"] == pytest.approx(1.0, abs=1e-12)
         assert report["on_boundary"] is True
+
+    def test_check_agrees_with_dk_inside_the_zero_band(self, capsys):
+        # product 1 + 5.2e-10: outside by the raw product, inside the band
+        r = "1.224744871431589"
+        argv = ["-L", "1", "-r", f"{r},{r},{r}"]
+        code, report = run_json(capsys, ["jointspace", "check", *argv])
+        assert report["product"] > 1.0
+        assert (code, report["dk_solvable"], report["on_boundary"]) == (0, True, True)
+        code, report = run_json(capsys, ["dk", *argv])
+        assert code == 0
+        assert [s["posture"] for s in report["solutions"]] == [None]
 
     def test_check_infeasible_exits_one(self, capsys):
         code, report = run_json(capsys, ["jointspace", "check", "-L", "1", "-r", "2,2,2"])

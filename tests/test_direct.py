@@ -8,14 +8,17 @@ from orthoglide import (
     CartesianPoint,
     FlatConfiguration,
     JointVector,
+    KinematicsError,
     ManipulatorParams,
     NoDkSolution,
     ZeroJoint,
     branch_of,
     dk_both,
     dk_coefficients,
+    dk_feasible,
     dk_solve,
     equidistant_point,
+    feasibility_product,
     ik_branch,
     ik_enumerate_feasible,
     leg_residuals,
@@ -33,6 +36,15 @@ RHO_SMALL = JointVector(0.3, 0.3, 0.3)
 P_SMALL_MINUS = -0.4597618541248889
 P_SMALL_PLUS = 0.6597618541248889
 
+UNIT_EXPONENTS = (-150, -30, -10, 0, 10, 30, 150)
+
+
+def _dk_solve_plus(rho, params):
+    return dk_solve(rho, 1, params)
+
+
+DK_ENTRY_POINTS = (dk_both, _dk_solve_plus, dk_feasible, feasibility_product)
+
 
 class TestCoefficients:
     def test_home_joints(self, unit_params):
@@ -45,7 +57,7 @@ class TestCoefficients:
 
     def test_all_max_corner_negative_discriminant(self, unit_params):
         q = dk_coefficients(JointVector(2, 2, 2), unit_params)
-        assert q.c == (12 - 4) * 64 / 4
+        assert q.c == (12 - 4) / 4
         assert q.discriminant < 0
 
     def test_zero_joint_rejected(self, unit_params):
@@ -263,3 +275,60 @@ class TestInvariants:
                     max(abs(a - b) for a, b in zip(c.p, p)) <= 1e-9
                     for c in candidates
                 ), (p, sol)
+
+
+class TestUnitScale:
+    """Results must not depend on the choice of length unit."""
+
+    @pytest.mark.parametrize("k", UNIT_EXPONENTS)
+    def test_small_joints_two_postures(self, k):
+        L = 10.0**k
+        params = ManipulatorParams(L=L)
+        rho = JointVector(0.3 * L, 0.3 * L, 0.3 * L)
+        sols = dk_both(rho, params)
+        assert [s.posture for s in sols] == [-1, 1]
+        for sol in sols:
+            assert max(abs(r) for r in leg_residuals(sol.p, rho, params)) <= params.eps_geom
+
+    @pytest.mark.parametrize("k", UNIT_EXPONENTS)
+    def test_ik_dk_ik_roundtrip(self, unit_params, k):
+        L = 10.0**k
+        params = ManipulatorParams(L=L)
+        tol = 1e-9 * L
+        rng = np.random.default_rng(41)
+        for unit_p in sample_workspace_points(rng, unit_params, 40):
+            p = CartesianPoint(*(L * c for c in unit_p))
+            for sol in ik_enumerate_feasible(p, params):
+                [home] = [
+                    m for m in dk_both(sol.rho, params)
+                    if max(abs(a - b) for a, b in zip(m.p, p)) <= tol
+                ]
+                back = ik_branch(home.p, branch_of(home.p, sol.rho, params), params).rho
+                assert max(abs(a - b) for a, b in zip(back, sol.rho)) <= tol
+
+
+class TestEdgeInputs:
+    """Only typed KinematicsErrors escape, never arithmetic errors or NaN."""
+
+    @pytest.mark.parametrize("entry", DK_ENTRY_POINTS)
+    def test_joint_with_overflowing_inverse_square_is_zero(self, unit_params, entry):
+        with pytest.raises(ZeroJoint) as exc:
+            entry(JointVector(1e-200, 1.0, 1.0), unit_params)
+        assert exc.value.axis == "x"
+
+    @pytest.mark.parametrize("rho", [(1e200, 1.0, 1.0), (1e200, 1e200, 1e200)])
+    def test_overflowing_sum_of_squares_has_no_solution(self, unit_params, rho):
+        rho = JointVector(*rho)
+        assert dk_both(rho, unit_params) == []
+        with pytest.raises(NoDkSolution):
+            dk_solve(rho, -1, unit_params)
+        assert dk_feasible(rho, unit_params) is False
+        assert feasibility_product(rho, unit_params) == math.inf
+
+    @pytest.mark.parametrize("entry", DK_ENTRY_POINTS)
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_nan_joint_raises(self, unit_params, entry, axis):
+        rho = [0.5, 0.5, 0.5]
+        rho[axis] = math.nan
+        with pytest.raises(KinematicsError):
+            entry(JointVector(*rho), unit_params)

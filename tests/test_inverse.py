@@ -54,6 +54,11 @@ class TestIkBranch:
             ik_branch(CartesianPoint(1.1, 0.0, 0.0), PPP, unit_params)
         assert exc.value.axis == "y"
 
+    def test_nan_point_raises(self, unit_params):
+        with pytest.raises(RadicandNegative):
+            ik_branch(CartesianPoint(math.nan, 0.0, 0.0), PPP, unit_params)
+        assert ik_enumerate_feasible(CartesianPoint(math.nan, 0.0, 0.0), unit_params) == []
+
     def test_singular_surface_clamps_to_coincident_roots(self, unit_params):
         p = CartesianPoint(0.0, 0.6, 0.8)
         up = ik_branch(p, PPP, unit_params)

@@ -196,6 +196,12 @@ class TestAgainstDirectKinematics:
             assert len(dk_both(inside, unit_params)) == 2
             assert dk_both(outside, unit_params) == []
 
+    def test_feasible_agrees_with_dk_across_the_bisector_band(self, unit_params):
+        for i in range(-200, 201):
+            r = SQRT15 + i * 1e-11
+            rho = JointVector(r, r, r)
+            assert dk_feasible(rho, unit_params) == bool(dk_both(rho, unit_params)), i
+
     def test_on_boundary_single_flat_solution(self, unit_params):
         rng = np.random.default_rng(38)
         for phi, theta in random_interior_directions(rng, 100, margin=0.05):
