@@ -36,25 +36,31 @@ class IkSolution(NamedTuple):
 
 
 def _radicands(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, float, float]:
+    """Per axis, L^2 minus the other two squares.  Raises RadicandNegative
+    for the first NaN one: a NaN point has no branch, flag or region."""
     L2 = params.L * params.L
-    return (
+    rads = (
         L2 - p.y * p.y - p.z * p.z,
         L2 - p.x * p.x - p.z * p.z,
         L2 - p.x * p.x - p.y * p.y,
     )
+    # No radicand can be +inf, so only a NaN one makes the sum NaN.
+    if math.isnan(rads[0] + rads[1] + rads[2]):
+        axis = AXES[[math.isnan(rad) for rad in rads].index(True)]
+        raise RadicandNegative(axis, f"axis {axis}: radicand is NaN; point {tuple(p)}")
+    return rads
 
 
 def _half_chords(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, float, float]:
     """sqrt of each axis radicand, clamped to 0 within the tolerance band.
 
-    Raises RadicandNegative for the first axis whose radicand is not at
-    least ``-eps_geom * L^2`` (the point is outside the reachable cylinder
-    intersection for that axis, or not a number, so no branch can solve it).
+    Raises RadicandNegative for the first NaN radicand, else for the first
+    below ``-eps_geom * L^2`` (outside reach, so no branch can solve it).
     """
     tol = params.eps_geom * params.L * params.L
     chords = []
     for axis, rad in zip(AXES, _radicands(p, params)):
-        if not rad >= -tol:
+        if rad < -tol:
             raise RadicandNegative(
                 axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach"
             )
@@ -124,6 +130,7 @@ def is_serial_singular(p: CartesianPoint, params: ManipulatorParams) -> AxisFlag
 
     A flagged axis means the two inverse branches coincide there
     (rho_i = p_i), i.e. the leg is orthogonal to its prismatic axis.
+    Raises RadicandNegative for a point with a NaN coordinate.
     """
     tol = params.eps_geom * params.L * params.L
     return AxisFlags(*(abs(rad) <= tol for rad in _radicands(p, params)))

@@ -107,33 +107,24 @@ def boundary_joint_vector(
 def boundary_rho_x(
     rho_y: float, rho_z: float, params: ManipulatorParams
 ) -> tuple[float, ...]:
-    """Positive rho_x values putting (rho_x, rho_y, rho_z) on the boundary.
+    """The positive rho_x putting (rho_x, rho_y, rho_z) on the boundary.
 
     Solves the biquadratic  d*u^2 + d*e*u + e = 0  in u = rho_x^2 with
-    d = rho_y^-2 + rho_z^-2 and e = rho_y^2 + rho_z^2 - 4L^2.  Empty means
-    the axis-aligned line at this (rho_y, rho_z) never crosses the surface.
+    d = rho_y^-2 + rho_z^-2 and e = rho_y^2 + rho_z^2 - 4L^2.  Its roots
+    multiply to e/d and add to -e, so there is at most one positive root,
+    and one exactly when e < 0.  Empty means the axis-aligned line at this
+    (rho_y, rho_z) never crosses the surface.
     """
     if rho_y <= 0 or rho_z <= 0:
         raise ValueError(f"rho_y and rho_z must be positive, got {(rho_y, rho_z)}")
     d = 1.0 / rho_y**2 + 1.0 / rho_z**2
     e = rho_y * rho_y + rho_z * rho_z - 4.0 * params.L * params.L
-    b = d * e
-    disc = b * b - 4.0 * d * e
-    if disc < 0.0:
+    if not e < 0.0:
         return ()
-    s = math.sqrt(disc)
-    # Stable pairing: the addition that avoids cancellation first, the
-    # other root from the product e/d.
-    if b >= 0.0:
-        u1 = (-b - s) / (2.0 * d)
-    else:
-        u1 = (-b + s) / (2.0 * d)
-    u2 = (e / d) / u1 if u1 != 0.0 else 0.0
-    roots = sorted(math.sqrt(u) for u in (u1, u2) if u > 0.0)
-    # Collapse the double root when the discriminant vanishes.
-    if len(roots) == 2 and math.isclose(roots[0], roots[1], rel_tol=1e-12):
-        roots = roots[:1]
-    return tuple(roots)
+    b = d * e
+    u = (-b + math.sqrt(b * b - 4.0 * d * e)) / (2.0 * d)
+    # Where d overflows to inf, u is NaN and no root is returned.
+    return (math.sqrt(u),) if u > 0.0 else ()
 
 
 def boundary_vs_sphere_gap(

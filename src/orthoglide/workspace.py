@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CartesianPoint, ManipulatorParams
+from .inverse import _radicands
 
 
 class WorkspaceRegion(Enum):
@@ -47,11 +48,16 @@ _IK_COUNTS = {
 }
 
 
+def _in_C(x2, y2, z2, L2):
+    """C membership from squared coordinates; floats or arrays alike."""
+    return (x2 + y2 <= L2) & (x2 + z2 <= L2) & (y2 + z2 <= L2)
+
+
 def in_cylinder_intersection(p: CartesianPoint, params: ManipulatorParams) -> bool:
-    """Closed membership test: all pairwise coordinate square sums <= L^2."""
-    L2 = params.L * params.L
-    x2, y2, z2 = p.x * p.x, p.y * p.y, p.z * p.z
-    return x2 + y2 <= L2 and x2 + z2 <= L2 and y2 + z2 <= L2
+    """Closed membership test: all pairwise coordinate square sums <= L^2.
+    Raises RadicandNegative for a point with a NaN coordinate."""
+    _radicands(p, params)
+    return _in_C(p.x * p.x, p.y * p.y, p.z * p.z, params.L * params.L)
 
 
 def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceRegion:
@@ -60,8 +66,10 @@ def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceReg
     The boundary band is ``eps_geom * L`` in Euclidean distance to each
     bounding surface: the sphere, the cylinder walls, and (for the shell
     only) the coordinate planes.  Inside the band the solution count is
-    indeterminate and no count is asserted.
+    indeterminate and no count is asserted.  Raises RadicandNegative for a
+    point with a NaN coordinate.
     """
+    _radicands(p, params)
     L = params.L
     band = params.eps_geom * L
     c_xy = math.hypot(p.x, p.y)
@@ -143,7 +151,7 @@ class MonteCarloVolumeReport:
     vol_W: VolumeEstimate
 
 
-_MC_BLOCK = 1 << 17
+_MC_BLOCK = 1 << 15
 
 
 def monte_carlo_volumes(
@@ -153,9 +161,10 @@ def monte_carlo_volumes(
 
     Uses numpy's PCG64 generator (``default_rng(seed)``); the stream is
     consumed in fixed row-major order, so results are bit-identical for a
-    given seed regardless of internal block size.  Sampling the full cube
-    rather than one octant exercises the C and S membership tests in every
-    octant; W membership uses the disjoint S-union-G decomposition.
+    given seed regardless of internal block size.  Blocks of 2^15 rows keep
+    the working memory near 2.7 MB at any ``n_samples``.  Sampling the full
+    cube rather than one octant exercises the C and S membership tests in
+    every octant; W membership uses the disjoint S-union-G decomposition.
     """
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
@@ -163,22 +172,16 @@ def monte_carlo_volumes(
     L2 = L * L
     rng = np.random.default_rng(seed)
     hits_C = hits_S = hits_G = 0
-    remaining = n_samples
-    while remaining > 0:
-        m = min(_MC_BLOCK, remaining)
-        pts = rng.uniform(-L, L, size=(m, 3))
-        sq = pts * pts
-        xy = sq[:, 0] + sq[:, 1]
-        xz = sq[:, 0] + sq[:, 2]
-        yz = sq[:, 1] + sq[:, 2]
-        in_C = (xy <= L2) & (xz <= L2) & (yz <= L2)
-        r2 = sq.sum(axis=1)
-        in_S = r2 < L2
-        in_G = in_C & (r2 > L2) & (pts > 0.0).all(axis=1)
-        hits_C += int(in_C.sum())
-        hits_S += int(in_S.sum())
-        hits_G += int(in_G.sum())
-        remaining -= m
+    for start in range(0, n_samples, _MC_BLOCK):
+        m = min(_MC_BLOCK, n_samples - start)
+        x, y, z = rng.uniform(-L, L, size=(m, 3)).T
+        x2, y2, z2 = x * x, y * y, z * z
+        in_C = _in_C(x2, y2, z2, L2)
+        r2 = x2 + y2 + z2
+        in_G = in_C & (r2 > L2) & (x > 0.0) & (y > 0.0) & (z > 0.0)
+        hits_C += int(np.count_nonzero(in_C))
+        hits_S += int(np.count_nonzero(r2 < L2))
+        hits_G += int(np.count_nonzero(in_G))
     cube = 8.0 * L**3
 
     def estimate(hits: int) -> VolumeEstimate:
@@ -189,10 +192,9 @@ def monte_carlo_volumes(
             hits=hits,
         )
 
-    est_C, est_S, est_G = estimate(hits_C), estimate(hits_S), estimate(hits_G)
-    est_W = estimate(hits_S + hits_G)
     return MonteCarloVolumeReport(
-        n_samples=n_samples, seed=seed, vol_C=est_C, vol_S=est_S, vol_G=est_G, vol_W=est_W
+        n_samples=n_samples, seed=seed, vol_C=estimate(hits_C), vol_S=estimate(hits_S),
+        vol_G=estimate(hits_G), vol_W=estimate(hits_S + hits_G),
     )
 
 

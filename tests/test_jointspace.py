@@ -135,7 +135,9 @@ class TestBoundaryRhoX:
         checked = 0
         for _ in range(500):
             ry, rz = rng.uniform(0.05, 2.0, 2)
-            for rx in boundary_rho_x(ry, rz, unit_params):
+            roots = boundary_rho_x(ry, rz, unit_params)
+            assert len(roots) == (ry * ry + rz * rz - 4.0 < 0)
+            for rx in roots:
                 product = feasibility_product(JointVector(rx, ry, rz), unit_params)
                 assert product == pytest.approx(1.0, abs=1e-9)
                 checked += 1

@@ -6,11 +6,15 @@ import pytest
 from orthoglide import (
     CartesianPoint,
     ManipulatorParams,
+    PPP,
+    RadicandNegative,
     WorkspaceRegion,
     bisector_landmarks,
     classify_point,
+    ik_branch,
     ik_enumerate_feasible,
     in_cylinder_intersection,
+    is_serial_singular,
     monte_carlo_volumes,
     workspace_volumes,
 )
@@ -86,6 +90,39 @@ class TestClassify:
         assert region_counts[WorkspaceRegion.SPHERE_INTERIOR] > 0
 
 
+POINT_QUERIES = [classify_point, in_cylinder_intersection, is_serial_singular]
+
+
+@pytest.mark.parametrize("query", POINT_QUERIES)
+@pytest.mark.parametrize(
+    "p,axis",
+    [
+        ((math.nan, 0.0, 0.0), "y"),
+        ((0.0, math.nan, 0.0), "x"),
+        ((0.0, 0.0, math.nan), "x"),
+        ((math.nan, math.nan, math.nan), "x"),
+        ((math.nan, math.inf, 0.0), "y"),  # x radicand is -inf, not NaN
+    ],
+)
+def test_nan_point_raises_on_the_axis_ik_branch_names(unit_params, query, p, axis):
+    with pytest.raises(RadicandNegative) as exc:
+        query(CartesianPoint(*p), unit_params)
+    assert exc.value.axis == axis
+    with pytest.raises(RadicandNegative) as ik:
+        ik_branch(CartesianPoint(*p), PPP, unit_params)
+    assert ik.value.axis == axis
+
+
+@pytest.mark.parametrize(
+    "p", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (math.inf, math.inf, -math.inf)]
+)
+def test_infinite_point_is_outside_without_flags(unit_params, p):
+    q = CartesianPoint(*p)
+    assert classify_point(q, unit_params) is WorkspaceRegion.OUTSIDE
+    assert not in_cylinder_intersection(q, unit_params)
+    assert not is_serial_singular(q, unit_params).any()
+
+
 class TestVolumes:
     def test_closed_forms(self, unit_params):
         v = workspace_volumes(unit_params)
@@ -131,6 +168,37 @@ class TestMonteCarlo:
         monkeypatch.setattr(ws, "_MC_BLOCK", 1024)
         chunked = monte_carlo_volumes(unit_params, 50_000, seed=7)
         assert full == chunked
+
+    @pytest.mark.parametrize(
+        "L,n,seed,hits",
+        [
+            (0.37, 50_000, 7, (29513, 26320, 381)),
+            (17.3, 10_000, 2**31 + 5, (5870, 5209, 77)),
+            (1.0, 10**6, 42, (585668, 523685, 7703)),
+        ],
+    )
+    def test_pinned_hit_counts(self, L, n, seed, hits):
+        mc = monte_carlo_volumes(ManipulatorParams(L=L), n, seed)
+        got = (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits)
+        assert got == hits
+        assert all(type(h) is int for h in got)  # plain ints, as JSON needs
+        assert mc.vol_W.hits == hits[1] + hits[2]
+
+    @pytest.mark.parametrize("L,n,seed", [(0.37, 50_000, 7), (17.3, 10_000, 2**31 + 5)])
+    def test_hit_counts_match_per_row_reference(self, L, n, seed):
+        """Redraw the kernel's stream and count it one row at a time with
+        the scalar membership formulas."""
+        L2 = L * L
+        c = s = g = 0
+        for x, y, z in np.random.default_rng(seed).uniform(-L, L, size=(n, 3)).tolist():
+            x2, y2, z2 = x * x, y * y, z * z
+            in_c = x2 + y2 <= L2 and x2 + z2 <= L2 and y2 + z2 <= L2
+            r2 = x2 + y2 + z2
+            c += in_c
+            s += r2 < L2
+            g += in_c and r2 > L2 and x > 0.0 and y > 0.0 and z > 0.0
+        mc = monte_carlo_volumes(ManipulatorParams(L=L), n, seed)
+        assert (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits) == (c, s, g)
 
     def test_too_few_samples_rejected(self, unit_params):
         with pytest.raises(ValueError):
