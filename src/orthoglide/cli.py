@@ -29,6 +29,7 @@ from . import __version__
 from .core import (
     Branch,
     CartesianPoint,
+    DirectionOnOctantBorder,
     JointVector,
     ManipulatorParams,
     NoDkSolution,
@@ -53,7 +54,6 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 CONFIG_ENV_VAR = "ORTHOGLIDE_CONFIG"
-_CONFIG_KEYS = {"eps_geom", "eps_branch", "direction_floor", "seed"}
 
 # Accept option values like "-0.5,0.4,0.3": anything starting "-<digit>" or
 # "-.<digit>" is a value, not an option (no option strings look numeric).
@@ -104,7 +104,7 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "json") -> None
                      help="relative residual tolerance (default 1e-9)")
     sub.add_argument("--eps-branch", type=float, default=None,
                      help="absolute branch/posture sign tolerance (default 1e-9*L)")
-    sub.add_argument("--config", default=None,
+    sub.add_argument("--config", type=_config, default=os.environ.get(CONFIG_ENV_VAR) or {},
                      help=f"key=value settings file (default: ${CONFIG_ENV_VAR})")
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
@@ -112,46 +112,40 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "json") -> None
     sub.set_defaults(fmt=default_fmt)
 
 
-def _load_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = value
+def _direction_floor(text: str) -> float:
+    if not 0.0 < float(text) < math.inf:
+        raise ValueError(f"direction_floor must be finite and positive, got {text!r}")
+    return float(text)
+
+
+#: Config key -> (type, default); ``main`` merges flag > config > default.
+_SETTINGS = {
+    "eps_geom": (float, 1e-9),
+    "eps_branch": (float, None),
+    "direction_floor": (_direction_floor, DEFAULT_DIRECTION_FLOOR),
+    "seed": (int, 0),
+}
+
+
+def _config(path: str) -> dict:
+    """``--config`` type: a ``key = value`` file read into typed values."""
+    cfg, lineno = {}, 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                key, eq, value = (s.strip() for s in raw.split("#", 1)[0].partition("="))
+                if not (key or eq):
+                    continue
+                if not eq:
+                    raise ValueError(f"expected key=value, got {raw.rstrip()!r}")
+                if key not in _SETTINGS:
+                    raise ValueError(f"unknown key {key!r}")
+                cfg[key] = _SETTINGS[key][0](value)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{path}:{lineno}: {exc}")
     return cfg
-
-
-class _Settings:
-    """Resolved tolerances: CLI flags override config, config overrides defaults."""
-
-    def __init__(self, args: argparse.Namespace, parser: argparse.ArgumentParser):
-        path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        cfg: dict[str, str] = {}
-        if path:
-            try:
-                cfg = _load_config(path)
-            except (OSError, ValueError) as exc:
-                parser.error(f"config: {exc}")
-        try:
-            eps_geom = args.eps_geom if args.eps_geom is not None else float(cfg.get("eps_geom", 1e-9))
-            if args.eps_branch is not None:
-                eps_branch = args.eps_branch
-            elif "eps_branch" in cfg:
-                eps_branch = float(cfg["eps_branch"])
-            else:
-                eps_branch = None
-            self.params = ManipulatorParams(L=args.L, eps_geom=eps_geom, eps_branch=eps_branch)
-            self.direction_floor = float(cfg.get("direction_floor", DEFAULT_DIRECTION_FLOOR))
-            self.seed = int(cfg.get("seed", 0))
-        except ValueError as exc:
-            parser.error(str(exc))
 
 
 def _base_report(command: str, params: ManipulatorParams, input_echo: dict) -> dict:
@@ -191,8 +185,7 @@ def _ik_solution_dict(p: CartesianPoint, sol, params: ManipulatorParams) -> dict
 
 
 def cmd_ik(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _Settings(args, parser)
-    params = settings.params
+    params = args.params
     p = CartesianPoint(*args.point)
     report = _base_report("ik", params, {
         "p": list(p),
@@ -235,8 +228,7 @@ def _dk_solution_dict(rho: JointVector, sol, params: ManipulatorParams) -> dict:
 
 
 def cmd_dk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _Settings(args, parser)
-    params = settings.params
+    params = args.params
     rho = JointVector(*args.joints)
     report = _base_report("dk", params, {
         "rho": list(rho),
@@ -278,12 +270,14 @@ def _interpolate(waypoints: list[tuple[float, float, float]], step: float) -> li
 
 
 def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _Settings(args, parser)
-    params = settings.params
+    params = args.params
     if len(args.waypoints) < 2:
         parser.error("need at least two -w/--waypoint arguments")
     if not args.step > 0:
         parser.error("--step must be positive")
+    wps = args.waypoints
+    if not all(math.isfinite(math.dist(a, b) / args.step) for a, b in zip(wps, wps[1:])):
+        parser.error(f"--step {args.step!r} is too small: the step count overflows")
     branch = args.branch
     report = _base_report("trajectory", params, {
         "waypoints": [list(w) for w in args.waypoints],
@@ -355,13 +349,11 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 # volumes
 # ---------------------------------------------------------------------------
 def cmd_volumes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _Settings(args, parser)
-    params = settings.params
+    params = args.params
     vols = workspace_volumes(params)
-    seed = args.seed if args.seed is not None else settings.seed
     report = _base_report("volumes", params, {
         "mc_samples": args.mc,
-        "seed": seed,
+        "seed": args.seed,
     })
     report["closed_form"] = {
         "vol_C": vols.vol_C,
@@ -375,7 +367,7 @@ def cmd_volumes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     rows = [("closed", k, v, "") for k, v in report["closed_form"].items()]
     if args.mc is not None:
         try:
-            mc = monte_carlo_volumes(params, args.mc, seed)
+            mc = monte_carlo_volumes(params, args.mc, args.seed)
         except ValueError as exc:
             parser.error(str(exc))
         report["monte_carlo"] = {
@@ -398,8 +390,7 @@ def cmd_volumes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 # jointspace
 # ---------------------------------------------------------------------------
 def cmd_jointspace_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _Settings(args, parser)
-    params = settings.params
+    params = args.params
     rho = JointVector(*args.joints)
     product = feasibility_product(rho, params)
     solutions = dk_both(rho, params)
@@ -419,14 +410,13 @@ def cmd_jointspace_check(args: argparse.Namespace, parser: argparse.ArgumentPars
 
 
 def cmd_jointspace_boundary(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _Settings(args, parser)
-    params = settings.params
+    params = args.params
     n = args.grid
     if n < 1:
         parser.error("--grid must be >= 1")
     report = _base_report("jointspace-boundary-sample", params, {
         "grid": n,
-        "direction_floor": settings.direction_floor,
+        "direction_floor": args.direction_floor,
     })
     rows = []
     half_pi = math.pi / 2.0
@@ -435,7 +425,7 @@ def cmd_jointspace_boundary(args: argparse.Namespace, parser: argparse.ArgumentP
         for j in range(n):
             theta = (j + 0.5) * half_pi / n
             direction = SphericalDirection(phi, theta)
-            t = boundary_radius(direction, params, settings.direction_floor)
+            t = boundary_radius(direction, params, args.direction_floor)
             ex, ey, ez = direction.unit_vector()
             rows.append((phi, theta, t, t * ex, t * ey, t * ez))
     report["rows"] = [
@@ -510,9 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for key, (_, default) in _SETTINGS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, args.config.get(key, default))
+    try:
+        args.params = ManipulatorParams(L=args.L, eps_geom=args.eps_geom, eps_branch=args.eps_branch)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args, parser)
-    except ZeroJoint as exc:
+    except (ZeroJoint, DirectionOnOctantBorder) as exc:
         parser.error(str(exc))
 
 

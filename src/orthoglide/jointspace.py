@@ -35,6 +35,8 @@ from .direct import dk_coefficients
 #: Smallest direction component boundary_radius accepts.  At the floor the
 #: radius is within ~1e-12 L of 2L, so the octant-edge limit is honoured.
 DEFAULT_DIRECTION_FLOOR = 1e-6
+#: Below this component F overflows, so boundary_radius rejects it whatever the floor.
+_MIN_COMPONENT = 1.3e-154
 
 
 class SphericalDirection(NamedTuple):
@@ -80,14 +82,16 @@ def boundary_radius(
     """Distance from the origin to the boundary surface along ``dir``.
 
     F >= 9 for any positive unit direction (minimum on the bisector), so
-    F - 1 never vanishes.  Directions with a component below ``floor`` are
-    rejected: F diverges there and the boundary only approaches the 2L
-    sphere as a limit.
+    F - 1 never vanishes.  Directions with a component below ``floor``
+    (every direction, for a NaN floor) or below 1.3e-154, where F
+    overflows, are rejected: F diverges there and the boundary only
+    approaches the 2L sphere as a limit.
     """
     e = dir.unit_vector()
-    if min(e) < floor:
+    lo = min(e)
+    if not (lo >= floor and lo >= _MIN_COMPONENT):
         raise DirectionOnOctantBorder(
-            f"direction {e} has a component below the floor {floor:g}"
+            f"direction {e} has a component below max({floor:g}, {_MIN_COMPONENT:g})"
         )
     F = 1.0 / e[0] ** 2 + 1.0 / e[1] ** 2 + 1.0 / e[2] ** 2
     return 2.0 * params.L * math.sqrt(F / (F - 1.0))
@@ -109,22 +113,20 @@ def boundary_rho_x(
 ) -> tuple[float, ...]:
     """The positive rho_x putting (rho_x, rho_y, rho_z) on the boundary.
 
-    Solves the biquadratic  d*u^2 + d*e*u + e = 0  in u = rho_x^2 with
-    d = rho_y^-2 + rho_z^-2 and e = rho_y^2 + rho_z^2 - 4L^2.  Its roots
-    multiply to e/d and add to -e, so there is at most one positive root,
-    and one exactly when e < 0.  Empty means the axis-aligned line at this
-    (rho_y, rho_z) never crosses the surface.
+    Solves u^2 + e*u + e/d = 0 in u = (rho_x/L)^2, e = (rho_y^2 + rho_z^2)/L^2 - 4,
+    1/d = m^2/(1 + r^2), m = min(rho_y, rho_z)/L, r = min/max: nothing over- or
+    underflows before the answer.  The roots multiply to e/d and add to -e, so one
+    is positive exactly when e < 0; empty means the line never crosses the surface.
     """
     if rho_y <= 0 or rho_z <= 0:
         raise ValueError(f"rho_y and rho_z must be positive, got {(rho_y, rho_z)}")
-    d = 1.0 / rho_y**2 + 1.0 / rho_z**2
-    e = rho_y * rho_y + rho_z * rho_z - 4.0 * params.L * params.L
+    lo, hi = sorted((rho_y, rho_z))
+    m, M = lo / params.L, hi / params.L
+    e = m * m + M * M - 4.0
     if not e < 0.0:
         return ()
-    b = d * e
-    u = (-b + math.sqrt(b * b - 4.0 * d * e)) / (2.0 * d)
-    # Where d overflows to inf, u is NaN and no root is returned.
-    return (math.sqrt(u),) if u > 0.0 else ()
+    u = (-e + math.sqrt(e * e - 4.0 * e * m * m / (1.0 + (lo / hi) ** 2))) / 2.0
+    return (params.L * math.sqrt(u),)
 
 
 def boundary_vs_sphere_gap(

@@ -205,6 +205,13 @@ class TestTrajectoryCommand:
         assert report["summary"]["aborted_at"] == len(report["records"]) - 1
         assert report["records"][-1]["p"][0] < 1.5
 
+    def test_overflowing_step_count_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1e300,0,0",
+                  "--step", "1e-300"])
+        assert exc.value.code == 2
+        assert "--step" in capsys.readouterr().err
+
     def test_needs_two_waypoints(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trajectory", "-L", "1", "-w", "0,0,0", "--step", "0.1"])
@@ -316,6 +323,21 @@ class TestConfig:
         code, report = run_json(capsys, ["ik", "-L", "1", "-p", "0,0,0"])
         assert report["params"]["eps_branch"] == 5e-8
 
+    def test_flag_over_config_over_env_var_over_default(self, capsys, tmp_path, monkeypatch):
+        env_cfg = tmp_path / "env.cfg"
+        env_cfg.write_text("eps_geom = 3e-7\neps_branch = 3e-8\n")
+        cfg = tmp_path / "orthoglide.cfg"
+        cfg.write_text("eps_geom = 2e-7\n")
+        monkeypatch.setenv("ORTHOGLIDE_CONFIG", str(env_cfg))
+        argv = ["ik", "-L", "1", "-p", "0,0,0"]
+        _, report = run_json(capsys, argv)
+        assert report["params"] == {"L": 1.0, "eps_geom": 3e-7, "eps_branch": 3e-8}
+        # --config replaces the env-var file: eps_branch falls back to its default
+        _, report = run_json(capsys, [*argv, "--config", str(cfg)])
+        assert report["params"] == {"L": 1.0, "eps_geom": 2e-7, "eps_branch": 1e-9}
+        _, report = run_json(capsys, [*argv, "--config", str(cfg), "--eps-geom", "1e-8"])
+        assert report["params"]["eps_geom"] == 1e-8
+
     def test_config_seed_feeds_monte_carlo(self, capsys, tmp_path):
         cfg = tmp_path / "orthoglide.cfg"
         cfg.write_text("seed = 99\n")
@@ -334,3 +356,25 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["ik", "-L", "1", "-p", "0,0,0", "--config", str(cfg)])
         assert exc.value.code == 2
+
+    def test_config_direction_floor_is_used(self, capsys, tmp_path):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("direction_floor = 1e-3\n")
+        code, report = run_json(
+            capsys,
+            ["jointspace", "boundary-sample", "-L", "1", "--grid", "2", "--json",
+             "--config", str(cfg)],
+        )
+        assert code == 0
+        assert report["input"]["direction_floor"] == 1e-3
+
+    @pytest.mark.parametrize("floor", ["0.9", "nan", "0"])
+    def test_rejected_direction_floor_exits_two(self, capsys, tmp_path, floor):
+        """0.9 rejects a grid direction; nan and 0 are rejected as values."""
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(f"direction_floor = {floor}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["jointspace", "boundary-sample", "-L", "1", "--grid", "2",
+                  "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

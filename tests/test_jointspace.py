@@ -18,8 +18,10 @@ from orthoglide import (
     feasibility_product,
 )
 from oracles import random_interior_directions
+from test_direct import UNIT_EXPONENTS
 
 SQRT15 = math.sqrt(1.5)
+SQRT3 = math.sqrt(3.0)
 BISECTOR = SphericalDirection.from_vector(1.0, 1.0, 1.0)
 
 
@@ -81,6 +83,15 @@ class TestBoundaryRadius:
     def test_below_floor_rejected(self, unit_params):
         with pytest.raises(DirectionOnOctantBorder):
             boundary_radius(SphericalDirection(1e-8, math.pi / 4), unit_params)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_floor_rejects_zero_component(self, unit_params, floor):
+        with pytest.raises(DirectionOnOctantBorder):
+            boundary_radius(SphericalDirection(0.3, 0.0), unit_params, floor)
+
+    def test_component_with_overflowing_inverse_square_rejected(self, unit_params):
+        with pytest.raises(DirectionOnOctantBorder):
+            boundary_radius(SphericalDirection(1e-200, 0.5), unit_params, 0.0)
 
     def test_floor_is_configurable(self, unit_params):
         d = SphericalDirection(1e-5, math.pi / 4)
@@ -147,6 +158,40 @@ class TestBoundaryRhoX:
         r1 = boundary_rho_x(1.0, 1.0, ManipulatorParams(L=1.0))
         r3 = boundary_rho_x(3.0, 3.0, ManipulatorParams(L=3.0))
         assert r3[0] == pytest.approx(3 * r1[0], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rho_y, rho_z, expected",
+        [
+            (1e-100, 1.0, SQRT3),
+            (1e-160, 1.0, SQRT3),
+            (1e-200, 1.0, SQRT3),
+            (1.0, 1e-200, SQRT3),
+            (1e-170, 1e-170, 2.0),
+            (1e200, 1.0, None),
+        ],
+    )
+    def test_tiny_or_huge_slice(self, unit_params, rho_y, rho_z, expected):
+        """The slice through a vanishing rho_y meets the surface where the
+        first factor of the product vanishes, rho_x^2 = 4L^2 - rho_z^2."""
+        roots = boundary_rho_x(rho_y, rho_z, unit_params)
+        if expected is None:
+            assert roots == ()
+        else:
+            assert roots == (pytest.approx(expected, rel=1e-15),)
+
+    @pytest.mark.parametrize("k", UNIT_EXPONENTS)
+    def test_unit_scale(self, unit_params, k):
+        L = 10.0**k
+        params = ManipulatorParams(L=L)
+        rng = np.random.default_rng(38)
+        for y, z in rng.uniform(0.05, 2.0, (50, 2)).tolist():
+            unit = boundary_rho_x(y, z, unit_params)
+            roots = boundary_rho_x(y * L, z * L, params)
+            assert len(roots) == len(unit) == (y * y + z * z < 4.0)
+            for rx, ux in zip(roots, unit):
+                assert rx == pytest.approx(ux * L, rel=1e-12)
+                rho = JointVector(rx, y * L, z * L)
+                assert feasibility_product(rho, params) == pytest.approx(1.0, abs=1e-9)
 
     def test_nonpositive_slice_rejected(self, unit_params):
         with pytest.raises(ValueError):
