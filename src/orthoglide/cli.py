@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -43,6 +44,7 @@ from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
 from .jointspace import (
     DEFAULT_DIRECTION_FLOOR,
     SphericalDirection,
+    boundary_joint_vector,
     boundary_radius,
     dk_feasible,
     feasibility_product,
@@ -184,7 +186,7 @@ def _ik_solution_dict(p: CartesianPoint, sol, params: ManipulatorParams) -> dict
     }
 
 
-def cmd_ik(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_ik(args: argparse.Namespace) -> int:
     params = args.params
     p = CartesianPoint(*args.point)
     report = _base_report("ik", params, {
@@ -227,7 +229,7 @@ def _dk_solution_dict(rho: JointVector, sol, params: ManipulatorParams) -> dict:
     }
 
 
-def cmd_dk(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_dk(args: argparse.Namespace) -> int:
     params = args.params
     rho = JointVector(*args.joints)
     report = _base_report("dk", params, {
@@ -269,64 +271,59 @@ def _interpolate(waypoints: list[tuple[float, float, float]], step: float) -> li
     return pts
 
 
-def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _halts(rec: dict) -> bool:
+    """Whether the abort policy stops at this step: serially singular or failed."""
+    return bool(rec["singular_axes"]) or not rec["joint_limits_ok"]
+
+
+def cmd_trajectory(args: argparse.Namespace) -> int:
     params = args.params
-    if len(args.waypoints) < 2:
-        parser.error("need at least two -w/--waypoint arguments")
-    if not args.step > 0:
-        parser.error("--step must be positive")
     wps = args.waypoints
+    if len(wps) < 2:
+        raise ValueError("need at least two -w/--waypoint arguments")
+    if not args.step > 0:
+        raise ValueError("--step must be positive")
     if not all(math.isfinite(math.dist(a, b) / args.step) for a, b in zip(wps, wps[1:])):
-        parser.error(f"--step {args.step!r} is too small: the step count overflows")
+        raise ValueError(f"--step {args.step!r} is too small: the step count overflows")
     branch = args.branch
+    abort = args.policy == "abort"
     report = _base_report("trajectory", params, {
-        "waypoints": [list(w) for w in args.waypoints],
+        "waypoints": [list(w) for w in wps],
         "step": args.step,
         "branch": branch.label,
         "policy": args.policy,
     })
     records = []
-    first_failure = None
-    aborted_at = None
-    n_singular = n_limits = n_infeasible = 0
-    for i, p in enumerate(_interpolate(args.waypoints, args.step)):
-        singular = is_serial_singular(p, params)
+    for i, p in enumerate(_interpolate(wps, args.step)):
         rec = {
             "index": i,
             "p": list(p),
             "branch": branch.label,
             "region": classify_point(p, params).value,
-            "singular_axes": list(singular.axes()),
+            "singular_axes": list(is_serial_singular(p, params).axes()),
         }
         try:
             sol = ik_branch(p, branch, params)
         except RadicandNegative as exc:
-            rec.update(rho=None, joint_limits_ok=False, infeasible=True,
-                       error_axis=exc.axis)
-            failed = True
-            n_infeasible += 1
+            rec.update(rho=None, joint_limits_ok=False, infeasible=True, error_axis=exc.axis)
         else:
-            ok = joint_limits_ok(sol.rho, params)
-            rec.update(rho=list(sol.rho), joint_limits_ok=ok, infeasible=False)
-            failed = not ok
-            if not ok:
-                n_limits += 1
-        if singular.any():
-            n_singular += 1
+            rec.update(rho=list(sol.rho), joint_limits_ok=joint_limits_ok(sol.rho, params),
+                       infeasible=False)
         records.append(rec)
-        if failed and first_failure is None:
-            first_failure = i
-        if args.policy == "abort" and (failed or singular.any()):
-            aborted_at = i
+        if abort and _halts(rec):
             break
+    # A step fails when its joint limits fail; an infeasible step fails them too.
+    failures = [r["index"] for r in records if not r["joint_limits_ok"]]
+    n_infeasible = sum(r["infeasible"] for r in records)
+    aborted_at = records[-1]["index"] if abort and _halts(records[-1]) else None
     report["records"] = records
     report["summary"] = {
-        "feasible": first_failure is None and aborted_at is None,
-        "first_failure_index": first_failure,
+        "feasible": not failures and aborted_at is None,
+        "first_failure_index": failures[0] if failures else None,
         "aborted_at": aborted_at,
         "n_steps": len(records),
-        "n_singular_steps": n_singular,
-        "n_limit_violations": n_limits,
+        "n_singular_steps": sum(bool(r["singular_axes"]) for r in records),
+        "n_limit_violations": len(failures) - n_infeasible,
         "n_infeasible_steps": n_infeasible,
     }
     rows = [
@@ -348,40 +345,21 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 # ---------------------------------------------------------------------------
 # volumes
 # ---------------------------------------------------------------------------
-def cmd_volumes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_volumes(args: argparse.Namespace) -> int:
     params = args.params
-    vols = workspace_volumes(params)
     report = _base_report("volumes", params, {
         "mc_samples": args.mc,
         "seed": args.seed,
     })
-    report["closed_form"] = {
-        "vol_C": vols.vol_C,
-        "vol_S": vols.vol_S,
-        "vol_G": vols.vol_G,
-        "vol_W": vols.vol_W,
-        "pct_W_of_serial": vols.pct_W_of_serial,
-        "pct_S_of_serial": vols.pct_S_of_serial,
-        "pct_C_of_serial": vols.pct_C_of_serial,
-    }
+    report["closed_form"] = dataclasses.asdict(workspace_volumes(params))
     rows = [("closed", k, v, "") for k, v in report["closed_form"].items()]
     if args.mc is not None:
-        try:
-            mc = monte_carlo_volumes(params, args.mc, args.seed)
-        except ValueError as exc:
-            parser.error(str(exc))
-        report["monte_carlo"] = {
-            "n_samples": mc.n_samples,
-            "seed": mc.seed,
-        }
-        for name in ("vol_C", "vol_S", "vol_G", "vol_W"):
-            est = getattr(mc, name)
-            report["monte_carlo"][name] = {
-                "value": est.value,
-                "stderr": est.stderr,
-                "hits": est.hits,
-            }
-            rows.append(("monte_carlo", name, est.value, est.stderr))
+        if args.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+        mc = monte_carlo_volumes(params, args.mc, args.seed)
+        estimates = {k: getattr(mc, k)._asdict() for k in ("vol_C", "vol_S", "vol_G", "vol_W")}
+        report["monte_carlo"] = {"n_samples": mc.n_samples, "seed": mc.seed, **estimates}
+        rows += [("monte_carlo", k, est["value"], est["stderr"]) for k, est in estimates.items()]
     _emit(report, args.fmt, ("source", "quantity", "value", "stderr"), rows)
     return EXIT_OK
 
@@ -389,7 +367,7 @@ def cmd_volumes(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 # ---------------------------------------------------------------------------
 # jointspace
 # ---------------------------------------------------------------------------
-def cmd_jointspace_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_jointspace_check(args: argparse.Namespace) -> int:
     params = args.params
     rho = JointVector(*args.joints)
     product = feasibility_product(rho, params)
@@ -409,29 +387,26 @@ def cmd_jointspace_check(args: argparse.Namespace, parser: argparse.ArgumentPars
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
-def cmd_jointspace_boundary(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
     params = args.params
     n = args.grid
     if n < 1:
-        parser.error("--grid must be >= 1")
+        raise ValueError("--grid must be >= 1")
     report = _base_report("jointspace-boundary-sample", params, {
         "grid": n,
         "direction_floor": args.direction_floor,
     })
+    header = ("phi", "theta", "t", "rho_x", "rho_y", "rho_z")
     rows = []
     half_pi = math.pi / 2.0
     for i in range(n):
-        phi = (i + 0.5) * half_pi / n
         for j in range(n):
-            theta = (j + 0.5) * half_pi / n
-            direction = SphericalDirection(phi, theta)
+            direction = SphericalDirection((i + 0.5) * half_pi / n, (j + 0.5) * half_pi / n)
             t = boundary_radius(direction, params, args.direction_floor)
-            ex, ey, ez = direction.unit_vector()
-            rows.append((phi, theta, t, t * ex, t * ey, t * ez))
-    report["rows"] = [
-        dict(zip(("phi", "theta", "t", "rho_x", "rho_y", "rho_z"), row)) for row in rows
-    ]
-    _emit(report, args.fmt, ("phi", "theta", "t", "rho_x", "rho_y", "rho_z"), rows)
+            rho = boundary_joint_vector(direction, params, args.direction_floor)
+            rows.append((*direction, t, *rho))
+    report["rows"] = [dict(zip(header, row)) for row in rows]
+    _emit(report, args.fmt, header, rows)
     return EXIT_OK
 
 
@@ -505,11 +480,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             setattr(args, key, args.config.get(key, default))
     try:
         args.params = ManipulatorParams(L=args.L, eps_geom=args.eps_geom, eps_branch=args.eps_branch)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return args.func(args, parser)
-    except (ZeroJoint, DirectionOnOctantBorder) as exc:
+        return args.func(args)
+    except (ValueError, ZeroJoint, DirectionOnOctantBorder) as exc:
         parser.error(str(exc))
 
 

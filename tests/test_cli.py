@@ -5,6 +5,7 @@ import pytest
 
 from orthoglide import __version__
 from orthoglide.cli import main
+from orthoglide.jointspace import SphericalDirection
 
 
 def run(capsys, argv):
@@ -30,6 +31,47 @@ def run_json(capsys, argv):
 )
 def test_negative_values_parse_as_values(capsys, argv, code):
     assert run(capsys, argv)[0] == code
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["trajectory", "-L", "1", "-w", "0,0,0", "--step", "0.1"], None,
+         "need at least two -w/--waypoint arguments"),
+        (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "0"], None,
+         "--step must be positive"),
+        (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "nan"], None,
+         "--step must be positive"),
+        (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1e300,0,0", "--step", "1e-300"], None,
+         "--step 1e-300 is too small: the step count overflows"),
+        (["jointspace", "boundary-sample", "-L", "1", "--grid", "0"], None, "--grid must be >= 1"),
+        (["volumes", "-L", "1", "--mc", "50"], None, "n_samples must be >= 10000, got 50"),
+        (["volumes", "-L", "1", "--mc", "10000", "--seed", "-1"], None,
+         "seed must be a non-negative integer, got -1"),
+        (["volumes", "-L", "1", "--mc", "10000"], "seed = -1\n",
+         "seed must be a non-negative integer, got -1"),
+        (["ik", "-L", "-1", "-p", "0,0,0"], None, "L must be finite and positive, got -1.0"),
+        (["ik", "-L", "1", "-p", "0,0,0", "--eps-geom", "0.5"], None,
+         "eps_geom must be in (0, 1e-3), got 0.5"),
+        (["dk", "-L", "1", "-r", "0,1,1"], None,
+         "rho_x = 0.0 is zero, NaN or too small next to L; equidistant line undefined"),
+        (["jointspace", "boundary-sample", "-L", "1", "--grid", "2"], "direction_floor = 0.9\n",
+         "direction (0.8535533905932737, 0.3535533905932738, 0.3826834323650898) "
+         "has a component below max(0.9, 1.3e-154)"),
+    ],
+)
+def test_usage_error_message(capsys, tmp_path, argv, config, message):
+    """Each usage error exits 2 through the top-level parser with this exact line."""
+    if config is not None:
+        cfg = tmp_path / "orthoglide.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == f"orthoglide: error: {message}"
 
 
 class TestIkCommand:
@@ -205,6 +247,33 @@ class TestTrajectoryCommand:
         assert report["summary"]["aborted_at"] == len(report["records"]) - 1
         assert report["records"][-1]["p"][0] < 1.5
 
+    @pytest.mark.parametrize(
+        "argv, policy, summary",
+        [
+            (["-w", "0.7,0.7,0.7", "-w", "0.1,0.6,0.7", "-w", "-1,0.2,0.3", "--step", "0.01",
+              "-b", "MPM"], "warn-and-hold-branch",
+             (False, 39, None, 186, 0, 141, 6)),
+            (["-w", "0,0,0", "-w", "1.5,0,0", "--step", "0.05"], "warn-and-hold-branch",
+             (False, 20, None, 31, 1, 1, 10)),
+            (["-w", "0,0,0", "-w", "0,1,0", "--step", "0.25"], "abort",
+             (False, 4, 4, 5, 1, 1, 0)),
+            (["-w", "0,0,0", "-w", "0,1,0", "--step", "0.25"], "warn-and-hold-branch",
+             (False, 4, None, 5, 1, 1, 0)),
+            # stops on a step that is only singular: no failure, yet not feasible
+            (["-w", "0.5,0.2,0.2", "-w", "0.5,0.6,0.8", "-w", "0.5,0.3,0.3", "--step", "0.1"],
+             "abort", (False, None, 8, 9, 1, 0, 0)),
+            (["-w", "0.5,0.2,0.2", "-w", "0.5,0.6,0.8", "-w", "0.5,0.3,0.3", "--step", "0.1"],
+             "warn-and-hold-branch", (True, None, None, 15, 1, 0, 0)),
+        ],
+    )
+    def test_summary(self, capsys, argv, policy, summary):
+        code, report = run_json(capsys, ["trajectory", "-L", "1", *argv, "--policy", policy])
+        keys = ("feasible", "first_failure_index", "aborted_at", "n_steps",
+                "n_singular_steps", "n_limit_violations", "n_infeasible_steps")
+        assert report["summary"] == dict(zip(keys, summary))
+        assert list(report["summary"]) == list(keys)
+        assert code == (0 if summary[0] else 1)
+
     def test_overflowing_step_count_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1e300,0,0",
@@ -240,6 +309,27 @@ class TestVolumesCommand:
         assert a["monte_carlo"] == b["monte_carlo"]
         est = a["monte_carlo"]["vol_W"]
         assert abs(est["value"] - a["closed_form"]["vol_W"]) <= 4 * est["stderr"]
+
+
+    def test_report_key_order(self, capsys):
+        _, report = run_json(capsys, ["volumes", "-L", "1", "--mc", "10000"])
+        assert list(report["closed_form"]) == [
+            "vol_C", "vol_S", "vol_G", "vol_W",
+            "pct_W_of_serial", "pct_S_of_serial", "pct_C_of_serial",
+        ]
+        mc = report["monte_carlo"]
+        assert list(mc) == ["n_samples", "seed", "vol_C", "vol_S", "vol_G", "vol_W"]
+        for name in ("vol_C", "vol_S", "vol_G", "vol_W"):
+            assert list(mc[name]) == ["value", "stderr", "hits"]
+
+    def test_negative_seed_without_mc_is_unused(self, capsys, tmp_path):
+        code, report = run_json(capsys, ["volumes", "-L", "1", "--seed", "-1"])
+        assert code == 0
+        assert report["input"]["seed"] == -1
+        cfg = tmp_path / "orthoglide.cfg"
+        cfg.write_text("seed = -1\n")
+        code, _ = run_json(capsys, ["ik", "-L", "1", "-p", "0,0,0", "--config", str(cfg)])
+        assert code == 0
 
 
 class TestJointspaceCommand:
@@ -295,6 +385,16 @@ class TestJointspaceCommand:
         for row in report["rows"]:
             norm = math.sqrt(row["rho_x"] ** 2 + row["rho_y"] ** 2 + row["rho_z"] ** 2)
             assert norm == pytest.approx(row["t"], rel=1e-12)
+
+    def test_boundary_sample_rows(self, capsys):
+        """JSON rows keep the CSV column order; each point is t times its unit direction."""
+        _, report = run_json(
+            capsys, ["jointspace", "boundary-sample", "-L", "1", "--grid", "2", "--json"]
+        )
+        for row in report["rows"]:
+            assert list(row) == ["phi", "theta", "t", "rho_x", "rho_y", "rho_z"]
+            e = SphericalDirection(row["phi"], row["theta"]).unit_vector()
+            assert [row["rho_x"], row["rho_y"], row["rho_z"]] == [row["t"] * c for c in e]
 
 
 class TestConfig:
