@@ -91,12 +91,18 @@ def _posture(text: str) -> int:
     raise argparse.ArgumentTypeError(f"posture must be -1 or +1, got {text!r}")
 
 
-def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
-    parser._negative_number_matcher = _VALUE_MATCHER
+def _parsers(parser: argparse.ArgumentParser):
+    """``parser`` and every subparser below it."""
+    yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                _allow_negative_values(sub)
+                yield from _parsers(sub)
+
+
+def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
+    for p in _parsers(parser):
+        p._negative_number_matcher = _VALUE_MATCHER
 
 
 def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "json") -> None:
@@ -106,7 +112,7 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "json") -> None
                      help="relative residual tolerance (default 1e-9)")
     sub.add_argument("--eps-branch", type=float, default=None,
                      help="absolute branch/posture sign tolerance (default 1e-9*L)")
-    sub.add_argument("--config", type=_config, default=os.environ.get(CONFIG_ENV_VAR) or {},
+    sub.add_argument("--config", type=_config, default={},
                      help=f"key=value settings file (default: ${CONFIG_ENV_VAR})")
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
@@ -405,7 +411,8 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
             t = boundary_radius(direction, params, args.direction_floor)
             rho = boundary_joint_vector(direction, params, args.direction_floor)
             rows.append((*direction, t, *rho))
-    report["rows"] = [dict(zip(header, row)) for row in rows]
+    if args.fmt == "json":
+        report["rows"] = [dict(zip(header, row)) for row in rows]
     _emit(report, args.fmt, header, rows)
     return EXIT_OK
 
@@ -472,8 +479,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``(builder, parser, command parsers)``: the parser ``main`` reuses, the
+#: ``build_parser`` that built it, and its subparsers that run a ``cmd_*``.
+#: A replaced ``build_parser`` gets a parser of its own on the next call.
+_built: tuple | None = None
+
+
+def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    global _built
+    build = build_parser
+    if _built is None or _built[0] is not build:
+        parser = build()
+        _built = (build, parser, [p for p in _parsers(parser) if p.get_default("func")])
+    return _built[1], _built[2]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parser()
+    # Read per call.  A string default goes through ``type=_config`` when
+    # --config is absent, so a bad env-var file fails from its subcommand.
+    env_config = os.environ.get(CONFIG_ENV_VAR) or {}
+    for command in commands:
+        command.set_defaults(config=env_config)
     args = parser.parse_args(argv)
     for key, (_, default) in _SETTINGS.items():
         if getattr(args, key, None) is None:

@@ -75,6 +75,12 @@ class DirectionOnOctantBorder(KinematicsError):
     radius is only defined as a limit there."""
 
 
+class VolumeOutOfRange(KinematicsError, ValueError):
+    """A volume ``coef * L**3`` that is not a finite normal float: ``L`` is
+    too small or too large for the volume to be represented.  Also a
+    ValueError, like the other out-of-range parameter errors."""
+
+
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------

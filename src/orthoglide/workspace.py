@@ -16,13 +16,14 @@ independent check of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import CartesianPoint, ManipulatorParams
+from .core import CartesianPoint, ManipulatorParams, VolumeOutOfRange
 from .inverse import _radicands
 
 
@@ -112,24 +113,44 @@ class VolumeReport:
     pct_C_of_serial: float
 
 
+_SQRT2 = math.sqrt(2.0)
+
+#: Dimensionless volume coefficients: Vol(X) = coef * L^3.
+_VOLUME_COEFS = {
+    "vol_C": 8.0 * (2.0 - _SQRT2),
+    "vol_S": 4.0 * math.pi / 3.0,
+    "vol_G": 2.0 - _SQRT2 - math.pi / 6.0,
+    "vol_W": 2.0 + 7.0 * math.pi / 6.0 - _SQRT2,
+}
+
+
+def _volume(name: str, coef: float, L: float) -> float:
+    """``coef * L**3``; VolumeOutOfRange unless it is a finite normal float."""
+    try:
+        v = coef * L**3
+    except OverflowError:
+        v = math.inf
+    if not sys.float_info.min <= v < math.inf:
+        raise VolumeOutOfRange(
+            f"L = {L!r} is out of range: {name} = {coef:.6g} * L**3 is not a finite normal float"
+        )
+    return v
+
+
 def workspace_volumes(params: ManipulatorParams) -> VolumeReport:
     """Exact volumes: Vol(C) = 8(2 - sqrt2) L^3, Vol(S) = 4pi/3 L^3,
-    Vol(G) = (2 - sqrt2 - pi/6) L^3, Vol(W) = (2 + 7pi/6 - sqrt2) L^3."""
-    L3 = params.L**3
-    s2 = math.sqrt(2.0)
-    vol_C = 8.0 * (2.0 - s2) * L3
-    vol_S = (4.0 * math.pi / 3.0) * L3
-    vol_G = (2.0 - s2 - math.pi / 6.0) * L3
-    vol_W = (2.0 + 7.0 * math.pi / 6.0 - s2) * L3
-    serial = 8.0 * L3
+    Vol(G) = (2 - sqrt2 - pi/6) L^3, Vol(W) = (2 + 7pi/6 - sqrt2) L^3.
+
+    The percentages are ``100 * coef / 8`` from the coefficients alone, so
+    they are the same at every L.  Raises VolumeOutOfRange where a volume is
+    not a finite normal float (L below about 7e-103 or above about 3.4e102).
+    """
+    coef = _VOLUME_COEFS
     return VolumeReport(
-        vol_C=vol_C,
-        vol_S=vol_S,
-        vol_G=vol_G,
-        vol_W=vol_W,
-        pct_W_of_serial=100.0 * vol_W / serial,
-        pct_S_of_serial=100.0 * vol_S / serial,
-        pct_C_of_serial=100.0 * vol_C / serial,
+        **{name: _volume(name, c, params.L) for name, c in coef.items()},
+        pct_W_of_serial=100.0 * coef["vol_W"] / 8.0,
+        pct_S_of_serial=100.0 * coef["vol_S"] / 8.0,
+        pct_C_of_serial=100.0 * coef["vol_C"] / 8.0,
     )
 
 
@@ -165,10 +186,13 @@ def monte_carlo_volumes(
     the working memory near 2.7 MB at any ``n_samples``.  Sampling the full
     cube rather than one octant exercises the C and S membership tests in
     every octant; W membership uses the disjoint S-union-G decomposition.
+    Raises VolumeOutOfRange where the cube volume ``8 L^3`` is not a finite
+    normal float.
     """
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
     L = params.L
+    cube = _volume("cube", 8.0, L)
     L2 = L * L
     rng = np.random.default_rng(seed)
     hits_C = hits_S = hits_G = 0
@@ -182,7 +206,6 @@ def monte_carlo_volumes(
         hits_C += int(np.count_nonzero(in_C))
         hits_S += int(np.count_nonzero(r2 < L2))
         hits_G += int(np.count_nonzero(in_G))
-    cube = 8.0 * L**3
 
     def estimate(hits: int) -> VolumeEstimate:
         frac = hits / n_samples

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orthoglide import __version__
+import orthoglide
+from orthoglide import __version__, cli
 from orthoglide.cli import main
 from orthoglide.jointspace import SphericalDirection
 
@@ -17,6 +22,16 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, _ = run(capsys, argv)
     return code, json.loads(out)
+
+
+def run_any(capsys, argv):
+    """``run``, with a usage error's SystemExit turned into its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 @pytest.mark.parametrize(
@@ -322,6 +337,21 @@ class TestVolumesCommand:
         for name in ("vol_C", "vol_S", "vol_G", "vol_W"):
             assert list(mc[name]) == ["value", "stderr", "hits"]
 
+    @pytest.mark.parametrize("L, quantity", [
+        ("1e-120", "vol_C = 4.68629"), ("5e102", "vol_C = 4.68629"),
+        ("1e300", "vol_C = 4.68629"), ("3e102", "cube = 8"),
+    ])
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_unrepresentable_volumes_exit_two(self, capsys, L, quantity, fmt):
+        """No ZeroDivisionError, OverflowError, Infinity or NaN at the ends
+        of the double range; 3e102 fits the volumes but not the MC cube."""
+        code, out, err = run_any(capsys, ["volumes", "-L", L, "--mc", "10000", fmt])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"orthoglide: error: L = {float(L)!r} is out of range: "
+            f"{quantity} * L**3 is not a finite normal float"
+        )
+
     def test_negative_seed_without_mc_is_unused(self, capsys, tmp_path):
         code, report = run_json(capsys, ["volumes", "-L", "1", "--seed", "-1"])
         assert code == 0
@@ -478,3 +508,75 @@ class TestConfig:
                   "--config", str(cfg)])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_env_var_is_read_on_every_call(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text("eps_branch = 5e-8\n")
+        argv = ["ik", "-L", "1", "-p", "0,0,0"]
+        monkeypatch.setenv("ORTHOGLIDE_CONFIG", str(cfg))
+        _, report = run_json(capsys, argv)
+        assert report["params"]["eps_branch"] == 5e-8
+        monkeypatch.delenv("ORTHOGLIDE_CONFIG")
+        _, report = run_json(capsys, argv)
+        assert report["params"]["eps_branch"] == 1e-9
+
+    def test_bad_env_var_file_fails_from_the_subcommand(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("tolerance = 1\n")
+        monkeypatch.setenv("ORTHOGLIDE_CONFIG", str(cfg))
+        code, out, err = run_any(capsys, ["ik", "-L", "1", "-p", "0,0,0"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"orthoglide ik: error: argument --config: {cfg}:1: unknown key 'tolerance'"
+        )
+
+
+class TestParserReuse:
+    #: Every subcommand in JSON and CSV, a usage error midway, a repeated -w.
+    ARGVS = [
+        ["ik", "-L", "1", "-p", "-0.5,0.4,0.3"],
+        ["ik", "-L", "1", "-p", "0.7,0.7,0.7", "-b", "MPM", "--csv"],
+        ["dk", "-L", "1", "-r", "0.3,0.3,0.3"],
+        ["dk", "-L", "1", "-r", "0.3,0.3,0.3", "-m", "-1", "--csv"],
+        ["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.7,0.7,0.7", "-w", "0.2,0,0",
+         "--step", "0.1", "--policy", "warn-and-hold-branch"],
+        ["trajectory", "-L", "2", "-w", "-0.1,0,0", "-w", "-.2,0,0", "--step", "0.05", "--csv"],
+        ["ik", "-L", "1", "-p", "0,0", "--csv"],
+        ["volumes", "-L", "1.5", "--mc", "10000", "--seed", "3"],
+        ["volumes", "-L", "1.5", "--csv"],
+        ["jointspace", "check", "-L", "1", "-r", "1,1,1"],
+        ["jointspace", "check", "-L", "1", "-r", "2,2,2", "--csv"],
+        ["jointspace", "boundary-sample", "-L", "1", "--grid", "2", "--json"],
+        ["jointspace", "boundary-sample", "-L", "1", "--grid", "2"],
+        ["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.1,0,0", "--step", "0.05"],
+    ]
+
+    def test_interleaved_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.delenv("ORTHOGLIDE_CONFIG", raising=False)
+        in_process = [run_any(capsys, argv) for argv in self.ARGVS]
+        env = {k: v for k, v in os.environ.items() if k != "ORTHOGLIDE_CONFIG"}
+        env["PYTHONPATH"] = str(Path(orthoglide.__file__).resolve().parent.parent)
+        for argv, (code, out, err) in zip(self.ARGVS, in_process):
+            proc = subprocess.run([sys.executable, "-m", "orthoglide.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert [code for code, _, _ in in_process].count(2) == 1
+
+    def test_replaced_build_parser_is_used_until_restored(self, capsys, monkeypatch):
+        original = cli.build_parser
+        builds = []
+
+        def build_parser():
+            builds.append(1)
+            return original()
+
+        argv = ["ik", "-L", "1", "-p", "0,0,0", "--csv"]
+        assert run(capsys, argv)[0] == 0
+        with monkeypatch.context() as m:
+            # The parser binds cmd_ik when it is built, so the stub shows
+            # whose parser main used.
+            m.setattr(cli, "cmd_ik", lambda args: 7)
+            m.setattr(cli, "build_parser", build_parser)
+            assert [run(capsys, argv)[0] for _ in range(3)] == [7, 7, 7]
+            assert builds == [1]
+        assert run(capsys, argv)[0] == 0

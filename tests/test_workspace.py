@@ -8,6 +8,7 @@ from orthoglide import (
     ManipulatorParams,
     PPP,
     RadicandNegative,
+    VolumeOutOfRange,
     WorkspaceRegion,
     bisector_landmarks,
     classify_point,
@@ -149,6 +150,23 @@ class TestVolumes:
             assert getattr(v2, name) == pytest.approx(8 * getattr(v1, name), rel=1e-12)
         assert v2.pct_W_of_serial == pytest.approx(v1.pct_W_of_serial, rel=1e-12)
 
+    @pytest.mark.parametrize("k", range(-102, 103, 3))
+    def test_percentages_do_not_depend_on_L(self, unit_params, k):
+        """The percentages are constants: bit-identical at every L = 10^k."""
+        v1 = workspace_volumes(unit_params)
+        v = workspace_volumes(ManipulatorParams(L=10.0**k))
+        pct = ("pct_W_of_serial", "pct_S_of_serial", "pct_C_of_serial")
+        assert [getattr(v, n) for n in pct] == [getattr(v1, n) for n in pct]
+        for name in ("vol_C", "vol_S", "vol_G", "vol_W"):
+            assert getattr(v, name) / 10.0 ** (3 * k) == pytest.approx(getattr(v1, name), rel=1e-14)
+
+    @pytest.mark.parametrize("L", [1e-300, 1e-120, 1e-103, 4e102, 5e102, 1e103, 1e300])
+    def test_unrepresentable_volumes_raise(self, L):
+        """L^3 underflowing to 0 or a subnormal, or a volume overflowing, is a
+        typed error, not ZeroDivisionError, OverflowError, inf or NaN."""
+        with pytest.raises(VolumeOutOfRange, match="is not a finite normal float"):
+            workspace_volumes(ManipulatorParams(L=L))
+
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self, unit_params):
@@ -160,6 +178,11 @@ class TestMonteCarlo:
         a = monte_carlo_volumes(unit_params, 10_000, seed=42)
         b = monte_carlo_volumes(unit_params, 10_000, seed=43)
         assert a != b
+
+    @pytest.mark.parametrize("L", [1e-120, 3e102, 1e300])
+    def test_unrepresentable_cube_raises(self, L):
+        with pytest.raises(VolumeOutOfRange, match="cube = 8 \\* L\\*\\*3"):
+            monte_carlo_volumes(ManipulatorParams(L=L), 10_000, seed=0)
 
     def test_block_size_does_not_matter(self, unit_params, monkeypatch):
         import orthoglide.workspace as ws
