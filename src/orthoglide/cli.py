@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .core import (
@@ -56,6 +56,8 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 CONFIG_ENV_VAR = "ORTHOGLIDE_CONFIG"
+
+_json_str = json.encoder.encode_basestring_ascii
 
 # Accept option values like "-0.5,0.4,0.3": anything starting "-<digit>" or
 # "-.<digit>" is a value, not an option (no option strings look numeric).
@@ -169,15 +171,39 @@ def _base_report(command: str, params: ManipulatorParams, input_echo: dict) -> d
     }
 
 
-def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Sequence[Sequence] = ()) -> None:
+def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Sequence] = (),
+          key: str | None = None, items: Iterable[str] = ()) -> None:
+    """Write a report to stdout: ``json.dumps(report, indent=2)``, with the
+    JSON ``items`` spliced in as the list at ``report[key]``, or CSV ``header``
+    and ``rows`` with the rest on stderr.  Callers pass ``rows`` and ``items``
+    as generators, so only the chosen format is built, and built here."""
     if fmt == "csv":
         meta = {k: v for k, v in report.items() if k not in ("rows", "records", "solutions")}
         print(json.dumps(meta), file=sys.stderr)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
+    elif key is None:
         print(json.dumps(report, indent=2))
+    else:
+        # A top-level key sits at exactly "\n  " and a JSON string holds no
+        # raw newline, so the placeholder occurs once.
+        placeholder = f"\n  {_json_str(key)}: []"
+        head, tail = json.dumps({**report, key: []}, indent=2).split(placeholder)
+        body = ",\n".join(items)
+        print(head, placeholder[:-2], f"[\n{body}\n  ]" if body else "[]", tail, sep="")
+
+
+def _template(value, depth: int) -> str:
+    """``value`` as ``json.dumps(report, indent=2)`` writes it ``depth``
+    levels into the report, each string ``"%s"`` in it made a ``%s`` slot."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth).replace('"%s"', "%s")
+
+
+def _json_floats(values: tuple) -> tuple:
+    """``values`` for ``%s`` slots: ``%s`` of a float is ``float.__repr__``, as
+    in json.dumps, but json.dumps spells inf and nan Infinity and NaN."""
+    return values if math.isfinite(sum(values)) else tuple(map(json.dumps, values))
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +294,34 @@ def cmd_dk(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 def _interpolate(waypoints: list[tuple[float, float, float]], step: float) -> list[CartesianPoint]:
     pts = [CartesianPoint(*waypoints[0])]
-    for a, b in zip(waypoints, waypoints[1:]):
-        dist = math.dist(a, b)
-        n = max(1, math.ceil(dist / step))
+    for (ax, ay, az), (bx, by, bz) in zip(waypoints, waypoints[1:]):
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        n = max(1, math.ceil(math.dist((ax, ay, az), (bx, by, bz)) / step))
         for i in range(1, n + 1):
             f = i / n
-            pts.append(CartesianPoint(*(ai + f * (bi - ai) for ai, bi in zip(a, b))))
+            pts.append(CartesianPoint(ax + f * dx, ay + f * dy, az + f * dz))
     return pts
 
 
-def _halts(rec: dict) -> bool:
-    """Whether the abort policy stops at this step: serially singular or failed."""
-    return bool(rec["singular_axes"]) or not rec["joint_limits_ok"]
+#: One ``report["records"]`` element; an infeasible step's ``error_axis`` rides in the last slot.
+_RECORD = "    " + _template({
+    "index": "%s", "p": ["%s"] * 3, "branch": "%s", "region": "%s", "singular_axes": "%s",
+    "rho": "%s", "joint_limits_ok": "%s", "infeasible": "%s",
+}, 2)
+_RECORD_RHO = _template(["%s"] * 3, 3)
+
+
+def _record_json(step: tuple, branch: str) -> str:
+    """One of ``cmd_trajectory``'s steps as its JSON record."""
+    i, p, rho, region, axes, ok, error_axis = step
+    floats = _json_floats((*p, *(rho or ())))
+    if rho is None:
+        rho_json, infeasible = "null", 'true,\n      "error_axis": ' + _json_str(error_axis)
+    else:
+        rho_json, infeasible = _RECORD_RHO % floats[3:], "false"
+    axes_json = _template(list(axes), 3) if axes else "[]"
+    return _RECORD % (i, *floats[:3], branch, _json_str(region), axes_json, rho_json,
+                      "true" if ok else "false", infeasible)
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
@@ -292,59 +334,50 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     if not all(math.isfinite(math.dist(a, b) / args.step) for a, b in zip(wps, wps[1:])):
         raise ValueError(f"--step {args.step!r} is too small: the step count overflows")
     branch = args.branch
+    label = branch.label
     abort = args.policy == "abort"
     report = _base_report("trajectory", params, {
         "waypoints": [list(w) for w in wps],
         "step": args.step,
-        "branch": branch.label,
+        "branch": label,
         "policy": args.policy,
     })
-    records = []
+    steps = []
     for i, p in enumerate(_interpolate(wps, args.step)):
-        rec = {
-            "index": i,
-            "p": list(p),
-            "branch": branch.label,
-            "region": classify_point(p, params).value,
-            "singular_axes": list(is_serial_singular(p, params).axes()),
-        }
+        region = classify_point(p, params).value
+        axes = is_serial_singular(p, params).axes()
         try:
-            sol = ik_branch(p, branch, params)
+            rho = ik_branch(p, branch, params).rho
         except RadicandNegative as exc:
-            rec.update(rho=None, joint_limits_ok=False, infeasible=True, error_axis=exc.axis)
+            rho, ok, error_axis = None, False, exc.axis
         else:
-            rec.update(rho=list(sol.rho), joint_limits_ok=joint_limits_ok(sol.rho, params),
-                       infeasible=False)
-        records.append(rec)
-        if abort and _halts(rec):
+            ok, error_axis = joint_limits_ok(rho, params), None
+        steps.append((i, p, rho, region, axes, ok, error_axis))
+        # The abort policy stops at a serially singular or failed step.
+        halted = bool(axes) or not ok
+        if abort and halted:
             break
     # A step fails when its joint limits fail; an infeasible step fails them too.
-    failures = [r["index"] for r in records if not r["joint_limits_ok"]]
-    n_infeasible = sum(r["infeasible"] for r in records)
-    aborted_at = records[-1]["index"] if abort and _halts(records[-1]) else None
-    report["records"] = records
+    failures = [i for i, _, _, _, _, ok, _ in steps if not ok]
+    n_infeasible = sum(rho is None for _, _, rho, *_ in steps)
+    aborted_at = len(steps) - 1 if abort and halted else None
+    report["records"] = []  # keeps its place; _emit writes the records
     report["summary"] = {
         "feasible": not failures and aborted_at is None,
         "first_failure_index": failures[0] if failures else None,
         "aborted_at": aborted_at,
-        "n_steps": len(records),
-        "n_singular_steps": sum(bool(r["singular_axes"]) for r in records),
+        "n_steps": len(steps),
+        "n_singular_steps": sum(bool(axes) for _, _, _, _, axes, _, _ in steps),
         "n_limit_violations": len(failures) - n_infeasible,
         "n_infeasible_steps": n_infeasible,
     }
-    rows = [
-        (
-            r["index"], *r["p"],
-            *(r["rho"] if r["rho"] is not None else ("", "", "")),
-            r["branch"], r["region"], ";".join(r["singular_axes"]),
-            r["joint_limits_ok"], r["infeasible"],
-        )
-        for r in records
-    ]
+    rows = ((i, *p, *(rho or ("", "", "")), label, region, ";".join(axes), ok, rho is None)
+            for i, p, rho, region, axes, ok, _ in steps)
+    label_json = _json_str(label)
     _emit(report, args.fmt,
           ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
            "branch", "region", "singular_axes", "joint_limits_ok", "infeasible"),
-          rows)
+          rows, "records", (_record_json(step, label_json) for step in steps))
     return EXIT_OK if report["summary"]["feasible"] else EXIT_INFEASIBLE
 
 
@@ -393,6 +426,10 @@ def cmd_jointspace_check(args: argparse.Namespace) -> int:
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
+_BOUNDARY_HEADER = ("phi", "theta", "t", "rho_x", "rho_y", "rho_z")
+_BOUNDARY_ROW = "    " + _template(dict.fromkeys(_BOUNDARY_HEADER, "%s"), 2)
+
+
 def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
     params = args.params
     n = args.grid
@@ -402,7 +439,6 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
         "grid": n,
         "direction_floor": args.direction_floor,
     })
-    header = ("phi", "theta", "t", "rho_x", "rho_y", "rho_z")
     rows = []
     half_pi = math.pi / 2.0
     for i in range(n):
@@ -411,9 +447,8 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
             t = boundary_radius(direction, params, args.direction_floor)
             rho = boundary_joint_vector(direction, params, args.direction_floor)
             rows.append((*direction, t, *rho))
-    if args.fmt == "json":
-        report["rows"] = [dict(zip(header, row)) for row in rows]
-    _emit(report, args.fmt, header, rows)
+    _emit(report, args.fmt, _BOUNDARY_HEADER, rows,
+          "rows", (_BOUNDARY_ROW % _json_floats(row) for row in rows))
     return EXIT_OK
 
 

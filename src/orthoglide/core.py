@@ -146,7 +146,11 @@ class Branch:
 
     @property
     def label(self) -> str:
-        return "".join("P" if s > 0 else "M" for s in self.signs)
+        return (
+            ("P" if self.sx > 0 else "M")
+            + ("P" if self.sy > 0 else "M")
+            + ("P" if self.sz > 0 else "M")
+        )
 
     @classmethod
     def from_label(cls, label: str) -> "Branch":

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -425,6 +427,89 @@ class TestJointspaceCommand:
             assert list(row) == ["phi", "theta", "t", "rho_x", "rho_y", "rho_z"]
             e = SphericalDirection(row["phi"], row["theta"]).unit_vector()
             assert [row["rho_x"], row["rho_y"], row["rho_z"]] == [row["t"] * c for c in e]
+
+
+class TestWriters:
+    """Reports are exactly what ``json.dumps(report, indent=2)`` and
+    ``csv.writer`` write.  ``trajectory`` and ``boundary-sample`` format their
+    long lists themselves, so these pin their writers on the cases each
+    template branches on."""
+
+    TRAJECTORIES = [
+        # infeasible steps: rho null, with error_axis
+        ["-L", "1", "-w", "0,0,0", "-w", "1.5,0,0", "--step", "0.05",
+         "--policy", "warn-and-hold-branch"],
+        # zero and one singular axes (x at y^2 + z^2 = L^2)
+        ["-L", "1", "-w", "0.5,0.2,0.2", "-w", "0.5,0.6,0.8", "-w", "0.5,0.3,0.3",
+         "--step", "0.1", "--policy", "warn-and-hold-branch"],
+        # three singular axes at (1, 1, 1) L / sqrt(2)
+        ["-L", "1", "-w", "0.7071067811865476,0.7071067811865476,0.7071067811865476",
+         "-w", "0.2,0.2,0.2", "--step", "0.1", "--policy", "warn-and-hold-branch"],
+        # one step between two equal waypoints
+        ["-L", "1", "-w", "0.1,0.1,0.1", "-w", "0.1,0.1,0.1", "--step", "0.1"],
+        # abort at step 0
+        ["-L", "1", "-w", "1.5,0,0", "-w", "0,0,0", "--step", "0.05"],
+        ["-L", "1", "-w", "-0.0,0.1,-0.2", "-w", "-0.1,-0.0,0.2", "--step", "0.03",
+         "--policy", "warn-and-hold-branch", "-b", "MPM"],
+        ["-L", "1e-3", "-w", "0,0,0", "-w", "7e-4,7e-4,7e-4", "--step", "1e-5"],
+        ["-L", "1e3", "-w", "0,0,0", "-w", "700,700,700", "-w", "1500,0,3", "--step", "9",
+         "--policy", "warn-and-hold-branch", "-b", "PMP"],
+        # rho overflows to inf, which json writes as Infinity
+        ["-L", "1e200", "-w", "0,0,0", "-w", "1,0,0", "--step", "1"],
+    ]
+    BOUNDARY_SAMPLES = [
+        ["-L", "1", "--grid", "1"],
+        ["-L", "1", "--grid", "3"],
+        ["-L", "1e-3", "--grid", "2"],
+        ["-L", "1e3", "--grid", "2"],
+        # t overflows to inf, which json writes as Infinity
+        ["-L", "1e308", "--grid", "2"],
+    ]
+    OTHERS = [
+        ["ik", "-L", "1", "-p", "0.7,0.7,0.7"],
+        ["dk", "-L", "1", "-r", "0.3,0.3,0.3"],
+        ["volumes", "-L", "1.5"],
+        ["jointspace", "check", "-L", "1", "-r", "1,1,1"],
+    ]
+
+    def argvs(self, fmt):
+        return ([["trajectory", *a, fmt] for a in self.TRAJECTORIES]
+                + [["jointspace", "boundary-sample", *a, fmt] for a in self.BOUNDARY_SAMPLES])
+
+    def test_json_is_json_dumps_indent_2(self, capsys):
+        records = []
+        for argv in self.argvs("--json") + self.OTHERS:
+            _, out, _ = run(capsys, argv)
+            report = json.loads(out)
+            assert out == json.dumps(report, indent=2) + "\n", argv
+            records += report.get("records", [])
+        # The fixtures reach every branch of the record template.
+        assert {len(r["singular_axes"]) for r in records} >= {0, 1, 3}
+        assert any(r["rho"] is None and "error_axis" in r for r in records)
+        assert any(r["rho"] is not None and math.isinf(r["rho"][0]) for r in records)
+
+    def test_csv_is_csv_writer_output(self, capsys):
+        for argv in self.argvs("--csv"):
+            _, out, _ = run(capsys, argv)
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+            assert out == buf.getvalue(), argv
+
+    def test_emit_writes_once_per_call(self, capsys, monkeypatch):
+        calls = []
+        emit = cli._emit
+
+        def counted(*args, **kwargs):
+            calls.append(args[0]["command"])
+            emit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_emit", counted)
+        for fmt in ("--json", "--csv"):
+            for argv in (["trajectory", *self.TRAJECTORIES[0], fmt],
+                         ["jointspace", "boundary-sample", *self.BOUNDARY_SAMPLES[1], fmt]):
+                calls.clear()
+                run(capsys, argv)
+                assert len(calls) == 1, argv
 
 
 class TestConfig:
