@@ -40,6 +40,7 @@ from .core import (
     leg_residuals,
 )
 from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
+from .inverse import _branch_joints, _chords, _radicands, _singular_axes
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
 from .jointspace import (
     DEFAULT_DIRECTION_FLOOR,
@@ -49,7 +50,7 @@ from .jointspace import (
     dk_feasible,
     feasibility_product,
 )
-from .workspace import classify_point, monte_carlo_volumes, workspace_volumes
+from .workspace import _region, classify_point, monte_carlo_volumes, workspace_volumes
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -342,12 +343,16 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "branch": label,
         "policy": args.policy,
     })
+    # classify_point, is_serial_singular and ik_branch, from one _radicands per step.
+    band = params.eps_geom * params.L
+    tol = band * params.L
     steps = []
     for i, p in enumerate(_interpolate(wps, args.step)):
-        region = classify_point(p, params).value
-        axes = is_serial_singular(p, params).axes()
+        rads = _radicands(p, params)
+        region = _region(*p, params.L, band).value
+        axes = _singular_axes(rads, tol).axes()
         try:
-            rho = ik_branch(p, branch, params).rho
+            rho = _branch_joints(p, _chords(rads, tol), branch)
         except RadicandNegative as exc:
             rho, ok, error_axis = None, False, exc.axis
         else:

@@ -177,6 +177,8 @@ BRANCH_ORDER: tuple[Branch, ...] = (PPP,) + tuple(
         key=lambda b: b.label,
     )
 )
+#: The branches of BRANCH_ORDER, the very objects, by sign triple.
+_BRANCHES: dict[tuple[int, int, int], Branch] = {b.signs: b for b in BRANCH_ORDER}
 
 
 @dataclass(frozen=True, slots=True)

@@ -56,9 +56,27 @@ class DkSolution(NamedTuple):
 
 
 def _require_nonzero(rho: JointVector) -> None:
-    for axis, ri in zip(AXES, rho):
-        if ri == 0.0:
-            raise ZeroJoint(axis, f"rho_{axis} = 0; equidistant line undefined")
+    if 0.0 in rho:
+        axis = AXES[rho.index(0.0)]
+        raise ZeroJoint(axis, f"rho_{axis} = 0; equidistant line undefined")
+
+
+def _quadratic(rho: JointVector, L2: float) -> tuple[float, float]:
+    """``dk_coefficients``' ``(a, c)``, given ``L2 = L * L``."""
+    x, y, z = rho
+    sx, sy, sz = x * x, y * y, z * z
+    ax = 1.0 / sx if sx else math.inf
+    axy = ax + (1.0 / sy if sy else math.inf)
+    a = axy + (1.0 / sz if sz else math.inf)
+    # 4aL^2 bounds -4ac, so while it is finite the discriminant is too.  The
+    # partial sums only grow, so the first one to leave it names the axis.
+    if not 4.0 * a * L2 < math.inf:
+        i = [not 4.0 * s * L2 < math.inf for s in (ax, axy, a)].index(True)
+        raise ZeroJoint(AXES[i], f"rho_{AXES[i]} = {rho[i]!r} is zero, NaN or too small "
+                        "next to L; equidistant line undefined")
+    # a * sum(rho_i^2) >= 9, so a underflows to 0 only where c is +inf; a
+    # positive a keeps 4ac at +inf there (no solution) instead of NaN.
+    return max(a, math.ulp(0.0)), (sx + sy + sz - 4.0 * L2) / 4.0
 
 
 def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
@@ -68,19 +86,8 @@ def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
     finite: a zero or NaN joint, or one so small next to L that the
     discriminant would overflow.
     """
-    L2 = params.L * params.L
-    a = 0.0
-    for axis, ri in zip(AXES, rho):
-        sq = ri * ri
-        a += 1.0 / sq if sq else math.inf
-        # 4aL^2 bounds -4ac, so while it is finite the discriminant is too.
-        if not 4.0 * a * L2 < math.inf:
-            raise ZeroJoint(axis, f"rho_{axis} = {ri!r} is zero, NaN or too small "
-                            "next to L; equidistant line undefined")
-    c = (rho.x * rho.x + rho.y * rho.y + rho.z * rho.z - 4.0 * L2) / 4.0
-    # a * sum(rho_i^2) >= 9, so a underflows to 0 only where c is +inf; a
-    # positive a keeps 4ac at +inf there (no solution) instead of NaN.
-    return DkQuadratic(max(a, math.ulp(0.0)), 1.0, c)
+    a, c = _quadratic(rho, params.L * params.L)
+    return DkQuadratic(a, 1.0, c)
 
 
 def dk_solve(rho: JointVector, posture: int, params: ManipulatorParams) -> DkSolution:
@@ -107,21 +114,21 @@ def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
     applied here; feasibility policy belongs to the jointspace layer, and
     callers wanting the flag can check ``joint_limits_ok(rho)`` themselves.
     """
-    q = dk_coefficients(rho, params)
-    disc = q.discriminant
+    a, c = _quadratic(rho, params.L * params.L)
+    disc = 1.0 - 4.0 * a * c
     if disc > params.eps_geom:
-        # b > 0, so -(b + sqrt(disc))/2 has no cancellation; the other root
-        # comes from the product c/a.
-        u = -(q.b + math.sqrt(disc)) / 2.0
-        t_minus, t_plus = u / q.a, q.c / u
-        return [
-            DkSolution(p=equidistant_point(rho, t_minus), posture=-1, t_value=t_minus),
-            DkSolution(p=equidistant_point(rho, t_plus), posture=1, t_value=t_plus),
-        ]
-    if disc >= -params.eps_geom:
-        t0 = -q.b / (2.0 * q.a)
-        return [DkSolution(p=equidistant_point(rho, t0), posture=None, t_value=t0)]
-    return []
+        # b = 1 > 0, so -(b + sqrt(disc))/2 has no cancellation; the other
+        # root comes from the product c/a.
+        u = -(1.0 + math.sqrt(disc)) / 2.0
+        roots = ((-1, u / a), (1, c / u))
+    elif disc >= -params.eps_geom:
+        roots = ((None, -1.0 / (2.0 * a)),)
+    else:
+        return []
+    # equidistant_point, with no joint to check: _quadratic rejected zeros.
+    x, y, z = rho
+    return [DkSolution(CartesianPoint(x / 2.0 + t / x, y / 2.0 + t / y, z / 2.0 + t / z), m, t)
+            for m, t in roots]
 
 
 def equidistant_point(rho: JointVector, t: float) -> CartesianPoint:
@@ -153,7 +160,7 @@ def posture_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -
     (Euclidean distance) of the plane.
     """
     # |plane_eval| / sqrt(a) is the Euclidean distance from p to the plane.
-    grad = math.sqrt(dk_coefficients(rho, params).a)
+    grad = math.sqrt(_quadratic(rho, params.L * params.L)[0])
     pe = plane_eval(p, rho)
     if not abs(pe) > params.eps_branch * grad:
         raise FlatConfiguration(

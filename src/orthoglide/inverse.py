@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .core import (
     AXES,
     BRANCH_ORDER,
+    _BRANCHES,
     AxisFlags,
     Branch,
     CartesianPoint,
@@ -24,7 +25,6 @@ from .core import (
     ManipulatorParams,
     RadicandNegative,
     SerialSingularity,
-    joint_limits_ok,
 )
 
 
@@ -39,11 +39,8 @@ def _radicands(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, flo
     """Per axis, L^2 minus the other two squares.  Raises RadicandNegative
     for the first NaN one: a NaN point has no branch, flag or region."""
     L2 = params.L * params.L
-    rads = (
-        L2 - p.y * p.y - p.z * p.z,
-        L2 - p.x * p.x - p.z * p.z,
-        L2 - p.x * p.x - p.y * p.y,
-    )
+    x, y, z = p
+    rads = (L2 - y * y - z * z, L2 - x * x - z * z, L2 - x * x - y * y)
     # No radicand can be +inf, so only a NaN one makes the sum NaN.
     if math.isnan(rads[0] + rads[1] + rads[2]):
         axis = AXES[[math.isnan(rad) for rad in rads].index(True)]
@@ -51,26 +48,26 @@ def _radicands(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, flo
     return rads
 
 
-def _half_chords(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, float, float]:
-    """sqrt of each axis radicand, clamped to 0 within the tolerance band.
-
-    Raises RadicandNegative for the first NaN radicand, else for the first
-    below ``-eps_geom * L^2`` (outside reach, so no branch can solve it).
-    """
-    tol = params.eps_geom * params.L * params.L
-    chords = []
-    for axis, rad in zip(AXES, _radicands(p, params)):
-        if rad < -tol:
-            raise RadicandNegative(
-                axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach"
-            )
-        chords.append(math.sqrt(rad) if rad > 0.0 else 0.0)
-    return tuple(chords)
+def _chords(rads: tuple[float, float, float], tol: float) -> tuple[float, float, float]:
+    """sqrt of each radicand, clamped to 0 within ``tol``.  Raises RadicandNegative
+    for the first below ``-tol`` (outside reach, so no branch can solve it)."""
+    rx, ry, rz = rads
+    if rx < -tol or ry < -tol or rz < -tol:
+        for axis, rad in zip(AXES, rads):
+            if rad < -tol:
+                raise RadicandNegative(
+                    axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach"
+                )
+    return (math.sqrt(rx) if rx > 0.0 else 0.0, math.sqrt(ry) if ry > 0.0 else 0.0,
+            math.sqrt(rz) if rz > 0.0 else 0.0)
 
 
-def _branch_joints(
-    p: CartesianPoint, chords: tuple[float, float, float], branch: Branch
-) -> JointVector:
+def _singular_axes(rads: tuple[float, float, float], tol: float) -> AxisFlags:
+    """Per axis, whether the radicand is within ``tol`` of zero."""
+    return AxisFlags(abs(rads[0]) <= tol, abs(rads[1]) <= tol, abs(rads[2]) <= tol)
+
+
+def _branch_joints(p: CartesianPoint, chords: tuple[float, ...], branch: Branch) -> JointVector:
     hx, hy, hz = chords
     return JointVector(p.x + branch.sx * hx, p.y + branch.sy * hy, p.z + branch.sz * hz)
 
@@ -82,7 +79,8 @@ def ik_branch(p: CartesianPoint, branch: Branch, params: ManipulatorParams) -> I
     branches coincide there; the singular surface is still a valid
     workspace boundary point).
     """
-    return IkSolution(rho=_branch_joints(p, _half_chords(p, params), branch), branch=branch)
+    chords = _chords(_radicands(p, params), params.eps_geom * params.L * params.L)
+    return IkSolution(_branch_joints(p, chords, branch), branch)
 
 
 def ik_enumerate_feasible(p: CartesianPoint, params: ManipulatorParams) -> list[IkSolution]:
@@ -94,15 +92,15 @@ def ik_enumerate_feasible(p: CartesianPoint, params: ManipulatorParams) -> list[
     workspace classifier is the authority on which case applies).
     """
     try:
-        chords = _half_chords(p, params)
+        chords = _chords(_radicands(p, params), params.eps_geom * params.L * params.L)
     except RadicandNegative:
         return []
-    out = []
-    for branch in BRANCH_ORDER:
-        rho = _branch_joints(p, chords, branch)
-        if joint_limits_ok(rho, params):
-            out.append(IkSolution(rho=rho, branch=branch))
-    return out
+    hi = 2.0 * params.L
+    # Per axis, each sign's joint value that is in the actuation range.
+    jx, jy, jz = [{s: v for s, v in ((-1, c - h), (1, c + h)) if 0.0 < v <= hi}
+                  for c, h in zip(p, chords)]
+    return [IkSolution(JointVector(jx[b.sx], jy[b.sy], jz[b.sz]), b)
+            for b in BRANCH_ORDER if b.sx in jx and b.sy in jy and b.sz in jz]
 
 
 def branch_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -> Branch:
@@ -111,18 +109,17 @@ def branch_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) ->
     Raises SerialSingularity instead of inventing a sign when any
     difference is within ``eps_branch`` of zero; silently picking a side
     there is exactly the branch-switching hazard this index exists to
-    prevent.
+    prevent.  Returns the branch object of BRANCH_ORDER.
     """
-    signs = []
-    for axis, pi_, ri in zip(AXES, p, rho):
-        d = ri - pi_
-        if abs(d) <= params.eps_branch:
-            raise SerialSingularity(
-                axis, f"axis {axis}: |rho - p| = {abs(d):.3e} <= eps_branch; "
-                "branch sign indeterminate (theta = 90 deg)"
-            )
-        signs.append(1 if d > 0 else -1)
-    return Branch(*signs)
+    eps = params.eps_branch
+    d = (rho[0] - p[0], rho[1] - p[1], rho[2] - p[2])
+    if abs(d[0]) <= eps or abs(d[1]) <= eps or abs(d[2]) <= eps:
+        axis, di = next((a, di) for a, di in zip(AXES, d) if abs(di) <= eps)
+        raise SerialSingularity(
+            axis, f"axis {axis}: |rho - p| = {abs(di):.3e} <= eps_branch; "
+            "branch sign indeterminate (theta = 90 deg)"
+        )
+    return _BRANCHES[(1 if d[0] > 0 else -1, 1 if d[1] > 0 else -1, 1 if d[2] > 0 else -1)]
 
 
 def is_serial_singular(p: CartesianPoint, params: ManipulatorParams) -> AxisFlags:
@@ -132,5 +129,4 @@ def is_serial_singular(p: CartesianPoint, params: ManipulatorParams) -> AxisFlag
     (rho_i = p_i), i.e. the leg is orthogonal to its prismatic axis.
     Raises RadicandNegative for a point with a NaN coordinate.
     """
-    tol = params.eps_geom * params.L * params.L
-    return AxisFlags(*(abs(rad) <= tol for rad in _radicands(p, params)))
+    return _singular_axes(_radicands(p, params), params.eps_geom * params.L * params.L)

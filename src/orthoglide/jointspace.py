@@ -27,16 +27,21 @@ from typing import NamedTuple
 from .core import (
     DirectionOnOctantBorder,
     JointVector,
+    KinematicsError,
     ManipulatorParams,
     joint_limits_ok,
 )
-from .direct import dk_coefficients
+from .direct import _quadratic
 
 #: Smallest direction component boundary_radius accepts.  At the floor the
 #: radius is within ~1e-12 L of 2L, so the octant-edge limit is honoured.
 DEFAULT_DIRECTION_FLOOR = 1e-6
 #: Below this component F overflows, so boundary_radius rejects it whatever the floor.
 _MIN_COMPONENT = 1.3e-154
+
+
+class _RadiusOutOfRange(KinematicsError, ValueError):
+    """A boundary radius that overflows: ``L`` is too large.  Also a ValueError."""
 
 
 class SphericalDirection(NamedTuple):
@@ -62,16 +67,16 @@ def feasibility_product(rho: JointVector, params: ManipulatorParams) -> float:
     """The jointspace membership product, 4ac of the normalised direct-
     kinematics quadratic; direct solutions exist iff it is at most
     1 + eps_geom (its discriminant 1 - product is at least -eps_geom)."""
-    q = dk_coefficients(rho, params)
-    return 4.0 * q.a * q.c
+    a, c = _quadratic(rho, params.L * params.L)
+    return 4.0 * a * c
 
 
 def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
     """True iff the joint vector admits a direct solution, in the same
     zero band as ``dk_both``, *and* respects the actuation range (the
     positive-octant restriction)."""
-    solvable = dk_coefficients(rho, params).discriminant >= -params.eps_geom
-    return solvable and joint_limits_ok(rho, params)
+    a, c = _quadratic(rho, params.L * params.L)
+    return 1.0 - 4.0 * a * c >= -params.eps_geom and joint_limits_ok(rho, params)
 
 
 def boundary_radius(
@@ -85,16 +90,21 @@ def boundary_radius(
     F - 1 never vanishes.  Directions with a component below ``floor``
     (every direction, for a NaN floor) or below 1.3e-154, where F
     overflows, are rejected: F diverges there and the boundary only
-    approaches the 2L sphere as a limit.
+    approaches the 2L sphere as a limit.  An overflowing radius (L above about
+    8.5e307) raises a KinematicsError that is also a ValueError.
     """
-    e = dir.unit_vector()
-    lo = min(e)
-    if not (lo >= floor and lo >= _MIN_COMPONENT):
+    ex, ey, ez = e = dir.unit_vector()
+    if not (ex >= floor and ey >= floor and ez >= floor
+            and ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
         raise DirectionOnOctantBorder(
             f"direction {e} has a component below max({floor:g}, {_MIN_COMPONENT:g})"
         )
-    F = 1.0 / e[0] ** 2 + 1.0 / e[1] ** 2 + 1.0 / e[2] ** 2
-    return 2.0 * params.L * math.sqrt(F / (F - 1.0))
+    F = 1.0 / ex ** 2 + 1.0 / ey ** 2 + 1.0 / ez ** 2
+    t = 2.0 * params.L * math.sqrt(F / (F - 1.0))
+    if t < math.inf:
+        return t
+    raise _RadiusOutOfRange(f"L = {params.L!r} is out of range: "
+                            f"the boundary radius along {e} overflows")
 
 
 def boundary_joint_vector(

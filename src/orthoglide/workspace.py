@@ -71,24 +71,28 @@ def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceReg
     point with a NaN coordinate.
     """
     _radicands(p, params)
-    L = params.L
-    band = params.eps_geom * L
-    c_xy = math.hypot(p.x, p.y)
-    c_xz = math.hypot(p.x, p.z)
-    c_yz = math.hypot(p.y, p.z)
-    if max(c_xy, c_xz, c_yz) > L + band:
+    return _region(p.x, p.y, p.z, params.L, params.eps_geom * params.L)
+
+
+def _region(x: float, y: float, z: float, L: float, band: float) -> WorkspaceRegion:
+    """``classify_point`` of a point with no NaN coordinate, ``band = eps_geom * L``."""
+    c_xy = math.hypot(x, y)
+    c_xz = math.hypot(x, z)
+    c_yz = math.hypot(y, z)
+    out = L + band
+    if c_xy > out or c_xz > out or c_yz > out:
         return WorkspaceRegion.OUTSIDE
-    r = math.sqrt(p.x * p.x + p.y * p.y + p.z * p.z)
+    r = math.sqrt(x * x + y * y + z * z)
     if abs(r - L) <= band:
         return WorkspaceRegion.BOUNDARY_BAND
     if r < L:
         # Pairwise radii never exceed r, so no cylinder wall is nearby.
         return WorkspaceRegion.SPHERE_INTERIOR
-    if min(abs(c_xy - L), abs(c_xz - L), abs(c_yz - L)) <= band:
+    if abs(c_xy - L) <= band or abs(c_xz - L) <= band or abs(c_yz - L) <= band:
         return WorkspaceRegion.BOUNDARY_BAND
-    if min(abs(p.x), abs(p.y), abs(p.z)) <= band:
+    if abs(x) <= band or abs(y) <= band or abs(z) <= band:
         return WorkspaceRegion.BOUNDARY_BAND
-    if p.x > 0 and p.y > 0 and p.z > 0:
+    if x > 0 and y > 0 and z > 0:
         return WorkspaceRegion.SHELL
     return WorkspaceRegion.OUTSIDE
 

@@ -429,6 +429,18 @@ class TestJointspaceCommand:
             assert [row["rho_x"], row["rho_y"], row["rho_z"]] == [row["t"] * c for c in e]
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_boundary_sample_overflowing_radius_is_a_usage_error(capsys, fmt):
+    """At L = 1e308 every boundary radius overflows: a usage error, not rows of inf."""
+    code, out, err = run_any(capsys, ["jointspace", "boundary-sample", "-L", "1e308",
+                                      "--grid", "2", fmt])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "orthoglide: error: L = 1e+308 is out of range: the boundary radius along "
+        "(0.8535533905932737, 0.3535533905932738, 0.3826834323650898) overflows"
+    )
+
+
 class TestWriters:
     """Reports are exactly what ``json.dumps(report, indent=2)`` and
     ``csv.writer`` write.  ``trajectory`` and ``boundary-sample`` format their
@@ -462,8 +474,6 @@ class TestWriters:
         ["-L", "1", "--grid", "3"],
         ["-L", "1e-3", "--grid", "2"],
         ["-L", "1e3", "--grid", "2"],
-        # t overflows to inf, which json writes as Infinity
-        ["-L", "1e308", "--grid", "2"],
     ]
     OTHERS = [
         ["ik", "-L", "1", "-p", "0.7,0.7,0.7"],

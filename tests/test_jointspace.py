@@ -6,6 +6,7 @@ import pytest
 from orthoglide import (
     DirectionOnOctantBorder,
     JointVector,
+    KinematicsError,
     ManipulatorParams,
     SphericalDirection,
     ZeroJoint,
@@ -112,6 +113,16 @@ class TestBoundaryRadius:
         t1 = boundary_radius(BISECTOR, ManipulatorParams(L=1.0))
         t5 = boundary_radius(BISECTOR, ManipulatorParams(L=5.0))
         assert t5 == pytest.approx(5 * t1, rel=1e-12)
+
+    def test_overflowing_radius_is_a_typed_value_error(self):
+        # 2L * sqrt(9/8) overflows on the bisector from about L = 8.5e307.
+        params = ManipulatorParams(L=9e307)
+        for fn in (boundary_radius, boundary_joint_vector, boundary_vs_sphere_gap):
+            with pytest.raises(KinematicsError) as exc:
+                fn(BISECTOR, params)
+            assert isinstance(exc.value, ValueError)
+            assert "boundary radius" in str(exc.value)
+        assert boundary_radius(BISECTOR, ManipulatorParams(L=8e307)) < math.inf
 
     def test_directional_minimum_is_the_bisector(self, unit_params):
         """F >= 9 with equality only on the bisector, so t is maximal there."""

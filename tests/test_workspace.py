@@ -72,6 +72,19 @@ class TestClassify:
     def test_boundary_band(self, unit_params, p):
         assert classify_point(CartesianPoint(*p), unit_params) is WorkspaceRegion.BOUNDARY_BAND
 
+    @pytest.mark.parametrize("wall", [(0, 1, 2), (0, 2, 1), (1, 2, 0)])
+    @pytest.mark.parametrize("offset, region", [
+        (0.5, WorkspaceRegion.BOUNDARY_BAND), (-0.5, WorkspaceRegion.BOUNDARY_BAND),
+        (2.0, WorkspaceRegion.OUTSIDE), (-2.0, WorkspaceRegion.SHELL),
+    ])
+    def test_band_straddles_each_cylinder_wall(self, unit_params, wall, offset, region):
+        """``offset`` bands (eps_geom * L) off a cylinder wall, with r > L: in
+        the band on either side, else the region of that side."""
+        i, j, k = wall
+        p = [0.5] * 3
+        p[i] = p[j] = (1.0 + offset * unit_params.eps_geom) / SQRT2
+        assert classify_point(CartesianPoint(*p), unit_params) is region
+
     def test_interior_coordinate_plane_is_not_boundary(self, unit_params):
         # coordinate planes only bound the shell, not the ball interior
         got = classify_point(CartesianPoint(0.0, 0.4, 0.3), unit_params)
