@@ -79,7 +79,8 @@ def edge_points(L, rng):
                 pts.append((x, ulps(y0, k), z))
         # on the sphere and on a cylinder wall, and a few ulps off
         u = [rng.gauss(0.0, 1.0) for _ in range(3)]
-        n = math.sqrt(sum(c * c for c in u))
+        # not sum(), whose float rounding changed in Python 3.12
+        n = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
         s = [abs(c) * L / n for c in u]
         t = rng.uniform(0.0, math.pi / 2)
         for k in (-3, 0, 3):
