@@ -42,14 +42,7 @@ from .core import (
 from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
 from .inverse import _branch_joints, _chords, _radicands, _singular_axes
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
-from .jointspace import (
-    DEFAULT_DIRECTION_FLOOR,
-    SphericalDirection,
-    boundary_joint_vector,
-    boundary_radius,
-    dk_feasible,
-    feasibility_product,
-)
+from .jointspace import SphericalDirection, boundary_radius, dk_feasible, feasibility_product
 from .workspace import _region, classify_point, monte_carlo_volumes, workspace_volumes
 
 EXIT_OK = 0
@@ -123,17 +116,10 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "json") -> None
     sub.set_defaults(fmt=default_fmt)
 
 
-def _direction_floor(text: str) -> float:
-    if not 0.0 < float(text) < math.inf:
-        raise ValueError(f"direction_floor must be finite and positive, got {text!r}")
-    return float(text)
-
-
 #: Config key -> (type, default); ``main`` merges flag > config > default.
 _SETTINGS = {
     "eps_geom": (float, 1e-9),
     "eps_branch": (float, None),
-    "direction_floor": (_direction_floor, DEFAULT_DIRECTION_FLOOR),
     "seed": (int, 0),
 }
 
@@ -440,18 +426,15 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
     n = args.grid
     if n < 1:
         raise ValueError("--grid must be >= 1")
-    report = _base_report("jointspace-boundary-sample", params, {
-        "grid": n,
-        "direction_floor": args.direction_floor,
-    })
+    report = _base_report("jointspace-boundary-sample", params, {"grid": n})
     rows = []
     half_pi = math.pi / 2.0
     for i in range(n):
         for j in range(n):
             direction = SphericalDirection((i + 0.5) * half_pi / n, (j + 0.5) * half_pi / n)
-            t = boundary_radius(direction, params, args.direction_floor)
-            rho = boundary_joint_vector(direction, params, args.direction_floor)
-            rows.append((*direction, t, *rho))
+            t = boundary_radius(direction, params)
+            ex, ey, ez = direction.unit_vector()
+            rows.append((*direction, t, t * ex, t * ey, t * ez))
     _emit(report, args.fmt, _BOUNDARY_HEADER, rows,
           "rows", (_BOUNDARY_ROW % _json_floats(row) for row in rows))
     return EXIT_OK

@@ -55,9 +55,9 @@ class SerialSingularity(_AxisError):
 
 
 class ZeroJoint(_AxisError):
-    """A joint displacement the direct-kinematics parametrization cannot
-    divide by: zero, NaN, or below about 1.5e-154 L in magnitude, where the
-    sum of inverse squares times 4L^2 overflows."""
+    """A joint the direct kinematics cannot divide by: zero, NaN, or below
+    about 1.5e-154 L in magnitude, where 4L^2 sum(rho_i^-2) overflows (below
+    2.2e-308, a subnormal, in equidistant_point and plane_eval, which take no L)."""
 
 
 class NoDkSolution(KinematicsError):
@@ -71,8 +71,8 @@ class FlatConfiguration(KinematicsError):
 
 
 class DirectionOnOctantBorder(KinematicsError):
-    """A spherical direction with a vanishing component; the boundary
-    radius is only defined as a limit there."""
+    """A spherical direction with a component that is NaN, not positive, or
+    below 1.3e-154, where the boundary radius's sum of inverse squares overflows."""
 
 
 class VolumeOutOfRange(KinematicsError, ValueError):

@@ -16,6 +16,7 @@ is the "flat" configuration with TCP on that plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +29,8 @@ from .core import (
     NoDkSolution,
     ZeroJoint,
 )
+
+_NORMAL_MIN = sys.float_info.min  # equidistant_point and plane_eval divide by no joint below it
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,9 +59,11 @@ class DkSolution(NamedTuple):
 
 
 def _require_nonzero(rho: JointVector) -> None:
-    if 0.0 in rho:
-        axis = AXES[rho.index(0.0)]
-        raise ZeroJoint(axis, f"rho_{axis} = 0; equidistant line undefined")
+    x, y, z = rho
+    if not (abs(x) >= _NORMAL_MIN and abs(y) >= _NORMAL_MIN and abs(z) >= _NORMAL_MIN):
+        i = [not abs(r) >= _NORMAL_MIN for r in rho].index(True)  # zero, subnormal or NaN
+        raise ZeroJoint(AXES[i], f"rho_{AXES[i]} = {rho[i]!r} is zero, subnormal or NaN; "
+                        "equidistant line undefined")
 
 
 def _quadratic(rho: JointVector, L2: float) -> tuple[float, float]:

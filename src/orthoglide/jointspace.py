@@ -16,7 +16,9 @@ representations:
     which is the cheap form and the one to use for radial queries.
 
 The surface hugs the sphere of radius 2L from outside, touching it along
-the quarter-circle octant edges and bulging farthest on the bisector.
+the quarter-circle octant edges and bulging farthest on the bisector.  The
+radial form stays well conditioned as F grows: it is evaluated for every
+direction whose components F can represent, down to 1.3e-154.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from .core import (
 )
 from .direct import _quadratic
 
-#: Smallest direction component boundary_radius accepts.  At the floor the
-#: radius is within ~1e-12 L of 2L, so the octant-edge limit is honoured.
-DEFAULT_DIRECTION_FLOOR = 1e-6
-#: Below this component F overflows, so boundary_radius rejects it whatever the floor.
+#: Smallest direction component boundary_radius accepts: below it F overflows.
 _MIN_COMPONENT = 1.3e-154
 
 
@@ -79,26 +78,19 @@ def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
     return 1.0 - 4.0 * a * c >= -params.eps_geom and joint_limits_ok(rho, params)
 
 
-def boundary_radius(
-    dir: SphericalDirection,
-    params: ManipulatorParams,
-    floor: float = DEFAULT_DIRECTION_FLOOR,
-) -> float:
+def boundary_radius(dir: SphericalDirection, params: ManipulatorParams) -> float:
     """Distance from the origin to the boundary surface along ``dir``.
 
     F >= 9 for any positive unit direction (minimum on the bisector), so
-    F - 1 never vanishes.  Directions with a component below ``floor``
-    (every direction, for a NaN floor) or below 1.3e-154, where F
-    overflows, are rejected: F diverges there and the boundary only
-    approaches the 2L sphere as a limit.  An overflowing radius (L above about
-    8.5e307) raises a KinematicsError that is also a ValueError.
+    F - 1 never vanishes, and as F grows toward the octant edges t tends to
+    2L without losing precision.  Only directions F cannot represent are
+    rejected with DirectionOnOctantBorder: a component that is NaN, not
+    positive, or below 1.3e-154, where F overflows.  An overflowing radius
+    (L above about 8.5e307) raises a KinematicsError that is also a ValueError.
     """
     ex, ey, ez = e = dir.unit_vector()
-    if not (ex >= floor and ey >= floor and ez >= floor
-            and ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
-        raise DirectionOnOctantBorder(
-            f"direction {e} has a component below max({floor:g}, {_MIN_COMPONENT:g})"
-        )
+    if not (ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
+        raise DirectionOnOctantBorder(f"direction {e} has a component below {_MIN_COMPONENT:g}")
     F = 1.0 / ex ** 2 + 1.0 / ey ** 2 + 1.0 / ez ** 2
     t = 2.0 * params.L * math.sqrt(F / (F - 1.0))
     if t < math.inf:
@@ -107,13 +99,9 @@ def boundary_radius(
                             f"the boundary radius along {e} overflows")
 
 
-def boundary_joint_vector(
-    dir: SphericalDirection,
-    params: ManipulatorParams,
-    floor: float = DEFAULT_DIRECTION_FLOOR,
-) -> JointVector:
+def boundary_joint_vector(dir: SphericalDirection, params: ManipulatorParams) -> JointVector:
     """The boundary point itself: ``boundary_radius(dir) * e``."""
-    t = boundary_radius(dir, params, floor)
+    t = boundary_radius(dir, params)
     e = dir.unit_vector()
     return JointVector(t * e[0], t * e[1], t * e[2])
 
@@ -139,14 +127,10 @@ def boundary_rho_x(
     return (params.L * math.sqrt(u),)
 
 
-def boundary_vs_sphere_gap(
-    dir: SphericalDirection,
-    params: ManipulatorParams,
-    floor: float = DEFAULT_DIRECTION_FLOOR,
-) -> float:
+def boundary_vs_sphere_gap(dir: SphericalDirection, params: ManipulatorParams) -> float:
     """How far outside the 2L sphere the boundary lies along ``dir``.
 
     Nonnegative everywhere, maximal on the bisector, tending to zero
     toward the octant edges.
     """
-    return boundary_radius(dir, params, floor) - 2.0 * params.L
+    return boundary_radius(dir, params) - 2.0 * params.L

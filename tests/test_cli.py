@@ -72,9 +72,6 @@ def test_negative_values_parse_as_values(capsys, argv, code):
          "eps_geom must be in (0, 1e-3), got 0.5"),
         (["dk", "-L", "1", "-r", "0,1,1"], None,
          "rho_x = 0.0 is zero, NaN or too small next to L; equidistant line undefined"),
-        (["jointspace", "boundary-sample", "-L", "1", "--grid", "2"], "direction_floor = 0.9\n",
-         "direction (0.8535533905932737, 0.3535533905932738, 0.3826834323650898) "
-         "has a component below max(0.9, 1.3e-154)"),
     ],
 )
 def test_usage_error_message(capsys, tmp_path, argv, config, message):
@@ -582,27 +579,14 @@ class TestConfig:
             main(["ik", "-L", "1", "-p", "0,0,0", "--config", str(cfg)])
         assert exc.value.code == 2
 
-    def test_config_direction_floor_is_used(self, capsys, tmp_path):
+    def test_direction_floor_key_is_unknown(self, capsys, tmp_path):
+        """The direction floor is no setting: a file that sets it is a usage error."""
         cfg = tmp_path / "floor.cfg"
-        cfg.write_text("direction_floor = 1e-3\n")
-        code, report = run_json(
-            capsys,
-            ["jointspace", "boundary-sample", "-L", "1", "--grid", "2", "--json",
-             "--config", str(cfg)],
-        )
-        assert code == 0
-        assert report["input"]["direction_floor"] == 1e-3
-
-    @pytest.mark.parametrize("floor", ["0.9", "nan", "0"])
-    def test_rejected_direction_floor_exits_two(self, capsys, tmp_path, floor):
-        """0.9 rejects a grid direction; nan and 0 are rejected as values."""
-        cfg = tmp_path / "floor.cfg"
-        cfg.write_text(f"direction_floor = {floor}\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["jointspace", "boundary-sample", "-L", "1", "--grid", "2",
-                  "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        cfg.write_text("direction_floor = 1e-6\n")
+        code, out, err = run_any(capsys, ["jointspace", "boundary-sample", "-L", "1",
+                                          "--grid", "2", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"{cfg}:1: unknown key 'direction_floor'")
 
     def test_env_var_is_read_on_every_call(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "default.cfg"

@@ -3,7 +3,10 @@
 A digest is the first 16 hex digits of the sha256 of the JSON list
 ``[exit code, stdout, stderr]``.  The digests were taken from the code
 before the scalar kernels were rewritten to compute each per-point quantity
-once, so any changed report byte, exit code or message fails here.  A usage
+once, so any changed report byte, exit code or message fails here.  The
+``boundary-sample`` digests were re-taken when the direction floor was
+removed: its ``input`` echo lost ``"direction_floor"``, and the same reports
+with that key stripped hash to the digests below.  A usage
 error (exit 2) pins its exit code only, because argparse words its messages
 differently across Python versions.  Monte-Carlo volumes are left out:
 numpy does not promise the PCG64 stream across its releases.
@@ -129,8 +132,8 @@ GOLDEN = {
     "jointspace check -L 1 -r 2.1,2.1,2.1 --csv": "ed32fa6f0ed2e1e3",
     "jointspace check -L 1 -r -.5,0.5,0.5 --json": "8c2b561874987be8",
     "jointspace check -L 1 -r -.5,0.5,0.5 --csv": "63ab7cd263f7b0b1",
-    "jointspace boundary-sample -L 1 --grid 4 --json": "a81363982f676744",
-    "jointspace boundary-sample -L 1 --grid 4 --csv": "285a8d713bdf8b70",
+    "jointspace boundary-sample -L 1 --grid 4 --json": "007a28c2991bd49c",
+    "jointspace boundary-sample -L 1 --grid 4 --csv": "e9b6b4d3eb672bd9",
     "trajectory -L 1 -w 0,0,0 -w 1.5,0,0 --step 0.05 --policy warn-and-hold-branch --json":
         "10bb255db6efd586",
     "trajectory -L 1 -w 0,0,0 -w 1.5,0,0 --step 0.05 --policy warn-and-hold-branch --csv":
@@ -159,14 +162,14 @@ GOLDEN = {
         "745526d7c549bfed",
     "trajectory -L 1e200 -w 0,0,0 -w 1,0,0 --step 1 --json": "fa30c8189e4683f8",
     "trajectory -L 1e200 -w 0,0,0 -w 1,0,0 --step 1 --csv": "47cab464233be66e",
-    "jointspace boundary-sample -L 1 --grid 1 --json": "7d39191608f9dcb6",
-    "jointspace boundary-sample -L 1 --grid 1 --csv": "3e2fbca634613b39",
-    "jointspace boundary-sample -L 1 --grid 3 --json": "a2e2f57ee0075998",
-    "jointspace boundary-sample -L 1 --grid 3 --csv": "1b5fdb252206cff3",
-    "jointspace boundary-sample -L 1e-3 --grid 2 --json": "31ca791197a1b1f5",
-    "jointspace boundary-sample -L 1e-3 --grid 2 --csv": "779ef67068eeb85c",
-    "jointspace boundary-sample -L 1e3 --grid 2 --json": "ef897a3634c609a3",
-    "jointspace boundary-sample -L 1e3 --grid 2 --csv": "ac681ab7cb251e1c",
+    "jointspace boundary-sample -L 1 --grid 1 --json": "4fd94c38c4db77a5",
+    "jointspace boundary-sample -L 1 --grid 1 --csv": "e41563ec30fd4be4",
+    "jointspace boundary-sample -L 1 --grid 3 --json": "6a07cdac675e801f",
+    "jointspace boundary-sample -L 1 --grid 3 --csv": "01c048049c45915f",
+    "jointspace boundary-sample -L 1e-3 --grid 2 --json": "d860b4490494b656",
+    "jointspace boundary-sample -L 1e-3 --grid 2 --csv": "94384e01934cb8da",
+    "jointspace boundary-sample -L 1e3 --grid 2 --json": "fb4d041b61f10f3d",
+    "jointspace boundary-sample -L 1e3 --grid 2 --csv": "9cef842d0dd2ba7a",
     "ik -L 1": 2,
     "ik -L -1 -p 0,0,0": 2,
     "dk -L 1 -r 0,1,1": 2,

@@ -201,6 +201,21 @@ class TestPlaneEval:
         assert abs(plane_eval(p, RHO_FLAT)) <= 1e-12
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("value", [1e-310, -1e-310, 0.0, math.nan])
+def test_unusable_joint_raises_from_equidistant_point_and_plane_eval(axis, value):
+    """A zero, subnormal or NaN joint is a ZeroJoint on its axis, not a
+    silent inf or NaN: t / 1e-310 overflows."""
+    rho = [1.0, 1.0, 1.0]
+    rho[axis] = value
+    rho = JointVector(*rho)
+    for call in (lambda: equidistant_point(rho, 1.0),
+                 lambda: plane_eval(CartesianPoint(1.0, 0.0, 0.0), rho)):
+        with pytest.raises(ZeroJoint) as exc:
+            call()
+        assert exc.value.axis == "xyz"[axis]
+
+
 class TestInvariants:
     def test_midline_point_on_plane(self, unit_params):
         rng = np.random.default_rng(7)

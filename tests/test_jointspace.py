@@ -76,29 +76,44 @@ class TestBoundaryRadius:
             assert product == pytest.approx(1.0, abs=1e-9)
 
     def test_edge_limit_approaches_two_L(self, unit_params):
-        for ez in (1e-3, 1e-4, 1e-5):
+        for ez in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
             d = SphericalDirection(math.asin(ez), math.pi / 4)  # e_z == ez
             t = boundary_radius(d, unit_params)
-            assert 2.0 < t < 2.0 + 2 * ez * ez
+            assert 2.0 <= t <= 2.0 + 2 * ez * ez
 
-    def test_below_floor_rejected(self, unit_params):
-        with pytest.raises(DirectionOnOctantBorder):
-            boundary_radius(SphericalDirection(1e-8, math.pi / 4), unit_params)
+    def test_tiny_component_accepted(self, unit_params):
+        """A component far below 1e-6 still gets its radius, which is 2L to rounding."""
+        assert boundary_radius(SphericalDirection(1e-8, math.pi / 4), unit_params) == 2.0
 
-    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
-    def test_nonpositive_or_nan_floor_rejects_zero_component(self, unit_params, floor):
-        with pytest.raises(DirectionOnOctantBorder):
-            boundary_radius(SphericalDirection(0.3, 0.0), unit_params, floor)
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
+    def test_corner_direction_of_a_786_grid(self, L):
+        """The last cell of ``boundary-sample --grid 786``, whose smallest
+        component is about 9.98e-7, has a finite radius just above 2L."""
+        angle = 785.5 * (math.pi / 2) / 786
+        d = SphericalDirection(angle, angle)
+        e_min = min(d.unit_vector())
+        assert 9.9e-7 < e_min < 1e-6
+        params = ManipulatorParams(L=L)
+        t = boundary_radius(d, params)
+        assert math.isfinite(t)
+        assert 2 * L <= t <= 2 * L * (1 + e_min * e_min)
+        rho = boundary_joint_vector(d, params)
+        assert list(rho) == [t * c for c in d.unit_vector()]
+
+    @pytest.mark.parametrize("d", [
+        SphericalDirection(0.3, 0.0),                  # zero y component
+        SphericalDirection(math.nan, 0.5),             # NaN components
+        SphericalDirection(0.5, math.nan),
+    ])
+    def test_zero_or_nan_component_rejected(self, unit_params, d):
+        for fn in (boundary_radius, boundary_joint_vector, boundary_vs_sphere_gap):
+            with pytest.raises(DirectionOnOctantBorder) as exc:
+                fn(d, unit_params)
+            assert str(exc.value).endswith("has a component below 1.3e-154")
 
     def test_component_with_overflowing_inverse_square_rejected(self, unit_params):
         with pytest.raises(DirectionOnOctantBorder):
-            boundary_radius(SphericalDirection(1e-200, 0.5), unit_params, 0.0)
-
-    def test_floor_is_configurable(self, unit_params):
-        d = SphericalDirection(1e-5, math.pi / 4)
-        with pytest.raises(DirectionOnOctantBorder):
-            boundary_radius(d, unit_params, floor=1e-4)
-        assert boundary_radius(d, unit_params, floor=1e-6) > 2.0
+            boundary_radius(SphericalDirection(1e-200, 0.5), unit_params)
 
     def test_permutation_symmetry(self, unit_params):
         rng = np.random.default_rng(32)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -89,6 +90,17 @@ class TestClassify:
         # coordinate planes only bound the shell, not the ball interior
         got = classify_point(CartesianPoint(0.0, 0.4, 0.3), unit_params)
         assert got is WorkspaceRegion.SPHERE_INTERIOR
+
+    @pytest.mark.parametrize("p", list(itertools.permutations(
+        (0.5660209826516847, 0.824390834008981, 5.102049057790474e-16))))
+    def test_coordinate_plane_band_decides_at_small_eps(self, p):
+        """5.1e-16 from a coordinate plane with eps_geom = 1e-15: in the band.
+        The point's cylinder radius is L + 1.11e-15, which is ``L + band`` as
+        rounded but outside the wall band, so only the coordinate-plane test
+        puts it in the band; without that test the answer is SHELL."""
+        params = ManipulatorParams(1.0, eps_geom=1e-15)
+        got = classify_point(CartesianPoint(*p), params)
+        assert got is WorkspaceRegion.BOUNDARY_BAND
 
     def test_agrees_with_enumeration_on_sample(self, unit_params):
         rng = np.random.default_rng(22)
