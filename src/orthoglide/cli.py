@@ -24,10 +24,12 @@ import math
 import os
 import re
 import sys
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from . import __version__
 from .core import (
+    AXES,
     Branch,
     CartesianPoint,
     DirectionOnOctantBorder,
@@ -40,7 +42,7 @@ from .core import (
     leg_residuals,
 )
 from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
-from .inverse import _branch_joints, _chords, _radicands, _singular_axes
+from .inverse import _branch_joints, _radicands, _real, _singular_axes
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
 from .jointspace import SphericalDirection, boundary_radius, dk_feasible, feasibility_product
 from .workspace import _region, classify_point, monte_carlo_volumes, workspace_volumes
@@ -162,14 +164,16 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
           key: str | None = None, items: Iterable[str] = ()) -> None:
     """Write a report to stdout: ``json.dumps(report, indent=2)``, with the
     JSON ``items`` spliced in as the list at ``report[key]``, or CSV ``header``
-    and ``rows`` with the rest on stderr.  Callers pass ``rows`` and ``items``
-    as generators, so only the chosen format is built, and built here."""
+    and ``rows`` with the rest on stderr.  A keyed list's rows go through a
+    ``%s`` line template: ``csv.writer``'s output for fields it does not quote."""
     if fmt == "csv":
         meta = {k: v for k, v in report.items() if k not in ("rows", "records", "solutions")}
         print(json.dumps(meta), file=sys.stderr)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        if key is None:
+            csv.writer(sys.stdout, lineterminator="\n").writerows(chain((header,), rows))
+        else:
+            line = ",".join(["%s"] * len(header)) + "\n"
+            sys.stdout.writelines(map(line.__mod__, chain((tuple(header),), rows)))
     elif key is None:
         print(json.dumps(report, indent=2))
     else:
@@ -187,7 +191,7 @@ def _template(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth).replace('"%s"', "%s")
 
 
-def _json_floats(values: tuple) -> tuple:
+def _json_floats(values: Sequence[float]) -> Sequence:
     """``values`` for ``%s`` slots: ``%s`` of a float is ``float.__repr__``, as
     in json.dumps, but json.dumps spells inf and nan Infinity and NaN."""
     return values if math.isfinite(sum(values)) else tuple(map(json.dumps, values))
@@ -279,39 +283,22 @@ def cmd_dk(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # trajectory
 # ---------------------------------------------------------------------------
-def _interpolate(waypoints: list[tuple[float, float, float]], step: float) -> list[CartesianPoint]:
-    pts = [CartesianPoint(*waypoints[0])]
-    for (ax, ay, az), (bx, by, bz) in zip(waypoints, waypoints[1:]):
-        dx, dy, dz = bx - ax, by - ay, bz - az
-        n = max(1, math.ceil(math.dist((ax, ay, az), (bx, by, bz)) / step))
-        for i in range(1, n + 1):
-            f = i / n
-            pts.append(CartesianPoint(ax + f * dx, ay + f * dy, az + f * dz))
-    return pts
-
-
-#: One ``report["records"]`` element; an infeasible step's ``error_axis`` rides in the last slot.
-_RECORD = "    " + _template({
-    "index": "%s", "p": ["%s"] * 3, "branch": "%s", "region": "%s", "singular_axes": "%s",
-    "rho": "%s", "joint_limits_ok": "%s", "infeasible": "%s",
-}, 2)
-_RECORD_RHO = _template(["%s"] * 3, 3)
-
-
-def _record_json(step: tuple, branch: str) -> str:
-    """One of ``cmd_trajectory``'s steps as its JSON record."""
-    i, p, rho, region, axes, ok, error_axis = step
-    floats = _json_floats((*p, *(rho or ())))
-    if rho is None:
-        rho_json, infeasible = "null", 'true,\n      "error_axis": ' + _json_str(error_axis)
-    else:
-        rho_json, infeasible = _RECORD_RHO % floats[3:], "false"
-    axes_json = _template(list(axes), 3) if axes else "[]"
-    return _RECORD % (i, *floats[:3], branch, _json_str(region), axes_json, rho_json,
-                      "true" if ok else "false", infeasible)
+#: One ``report["records"]`` element, and one per error axis for an infeasible step.
+_RECORD, *_RECORD_INFEASIBLE = ("    " + _template({
+    "index": "%s", "p": ["%s"] * 3, "branch": "%s", "region": "%s", "singular_axes": "%s", **tail,
+}, 2) for tail in (
+    {"rho": ["%s"] * 3, "joint_limits_ok": "%s", "infeasible": False},
+    *({"rho": None, "joint_limits_ok": False, "infeasible": True, "error_axis": a} for a in AXES)))
+#: ``singular_axes`` in JSON and in CSV, by the code x + 2y + 4z of the serial flags.
+_SINGULAR = [[a for k, a in enumerate(AXES) if code >> k & 1] for code in range(8)]
+_AXES_JSON, _AXES_CSV = [_template(a, 3) for a in _SINGULAR], [";".join(a) for a in _SINGULAR]
+_TRAJECTORY_HEADER = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
+                      "branch", "region", "singular_axes", "joint_limits_ok", "infeasible")
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
+    import numpy as np
+
     params = args.params
     wps = args.waypoints
     if len(wps) < 2:
@@ -321,54 +308,67 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     if not all(math.isfinite(math.dist(a, b) / args.step) for a, b in zip(wps, wps[1:])):
         raise ValueError(f"--step {args.step!r} is too small: the step count overflows")
     branch = args.branch
-    label = branch.label
     abort = args.policy == "abort"
     report = _base_report("trajectory", params, {
         "waypoints": [list(w) for w in wps],
         "step": args.step,
-        "branch": label,
+        "branch": branch.label,
         "policy": args.policy,
     })
-    # classify_point, is_serial_singular and ik_branch, from one _radicands per step.
-    band = params.eps_geom * params.L
-    tol = band * params.L
-    steps = []
-    for i, p in enumerate(_interpolate(wps, args.step)):
-        rads = _radicands(p, params)
-        region = _region(*p, params.L, band).value
-        axes = _singular_axes(rads, tol).axes()
-        try:
-            rho = _branch_joints(p, _chords(rads, tol), branch)
-        except RadicandNegative as exc:
-            rho, ok, error_axis = None, False, exc.axis
-        else:
-            ok, error_axis = joint_limits_ok(rho, params), None
-        steps.append((i, p, rho, region, axes, ok, error_axis))
-        # The abort policy stops at a serially singular or failed step.
-        halted = bool(axes) or not ok
-        if abort and halted:
-            break
-    # A step fails when its joint limits fail; an infeasible step fails them too.
-    failures = [i for i, _, _, _, _, ok, _ in steps if not ok]
-    n_infeasible = sum(rho is None for _, _, rho, *_ in steps)
-    aborted_at = len(steps) - 1 if abort and halted else None
-    report["records"] = []  # keeps its place; _emit writes the records
-    report["summary"] = {
-        "feasible": not failures and aborted_at is None,
-        "first_failure_index": failures[0] if failures else None,
+    L = params.L
+    tol = params.eps_geom * L * L
+    # is_serial_singular, ik_branch and joint_limits_ok of every step at once.
+    with np.errstate(all="ignore"):
+        # After the first waypoint, each segment's a + (i/n)(b - a), i = 1..n.
+        a, b = np.array(wps[:-1]).T, np.array(wps[1:]).T
+        counts = [max(1, math.ceil(math.dist(u, v) / args.step)) for u, v in zip(wps, wps[1:])]
+        f = np.concatenate([np.arange(1, n + 1) / n for n in counts])
+        points = np.hstack([a[:, :1], np.repeat(a, counts, 1) + f * np.repeat(b - a, counts, 1)])
+        rads = np.array(_radicands(points, L))
+        flags = _singular_axes(rads, tol)
+        below = rads < -tol
+        chords = np.where(rads > 0.0, np.sqrt(rads), 0.0)
+        rho = np.array(_branch_joints(CartesianPoint(*points), chords, branch))
+        ok = ~below.any(0) & ((0.0 < rho) & (rho <= 2.0 * L)).all(0)
+        halted = flags.x | flags.y | flags.z | ~ok
+        nan = np.isnan(rads.sum(0))
+    # The abort policy stops at the first serially singular or failed step.
+    n = int(halted.argmax()) + 1 if abort and halted.any() else len(ok)
+    if nan[:n].any():  # RadicandNegative for the first NaN step, as in the scalar path
+        _real(CartesianPoint(*points[:, nan.argmax()].tolist()), rads[:, nan.argmax()].tolist())
+    codes = (flags.x + 2 * flags.y + 4 * flags.z)[:n]
+    failures = np.flatnonzero(~ok[:n])
+    infeasible = below[:, :n].any(0)
+    bad = np.flatnonzero(infeasible).tolist()
+    aborted_at = n - 1 if abort and halted[n - 1] else None
+    report.update(records=[], summary={  # _emit writes the records in their place
+        "feasible": not failures.size and aborted_at is None,
+        "first_failure_index": int(failures[0]) if failures.size else None,
         "aborted_at": aborted_at,
-        "n_steps": len(steps),
-        "n_singular_steps": sum(bool(axes) for _, _, _, _, axes, _, _ in steps),
-        "n_limit_violations": len(failures) - n_infeasible,
-        "n_infeasible_steps": n_infeasible,
-    }
-    rows = ((i, *p, *(rho or ("", "", "")), label, region, ";".join(axes), ok, rho is None)
-            for i, p, rho, region, axes, ok, _ in steps)
-    label_json = _json_str(label)
-    _emit(report, args.fmt,
-          ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
-           "branch", "region", "singular_axes", "joint_limits_ok", "infeasible"),
-          rows, "records", (_record_json(step, label_json) for step in steps))
+        "n_steps": n,
+        "n_singular_steps": int(np.count_nonzero(codes)),
+        "n_limit_violations": failures.size - len(bad),
+        "n_infeasible_steps": len(bad),
+    })
+    # The reported steps, written column-wise; an infeasible step has no joints.
+    (x, y, z), rho, codes = points[:, :n].tolist(), rho[:, :n].tolist(), codes.tolist()
+    ok = ok[:n].tolist()
+    regions = [r.value for r in map(_region, x, y, z, repeat(L), repeat(params.eps_geom * L))]
+    rows = records = ()
+    if args.fmt == "csv":
+        for k in bad:
+            rho[0][k] = rho[1][k] = rho[2][k] = ""
+        rows = zip(range(n), x, y, z, *rho, repeat(branch.label), regions,
+                   map(_AXES_CSV.__getitem__, codes), ok, infeasible.tolist())
+    else:
+        label, regions = _json_str(branch.label), list(map(_json_str, regions))
+        x, y, z, *rho = map(_json_floats, (x, y, z, *rho))
+        axes = [_AXES_JSON[c] for c in codes]
+        records = list(map(_RECORD.__mod__, zip(range(n), x, y, z, repeat(label), regions, axes,
+                                                 *rho, map(("false", "true").__getitem__, ok))))
+        for k, a in zip(bad, below[:, bad].argmax(0).tolist()):
+            records[k] = _RECORD_INFEASIBLE[a] % (k, x[k], y[k], z[k], label, regions[k], axes[k])
+    _emit(report, args.fmt, _TRAJECTORY_HEADER, rows, "records", records)
     return EXIT_OK if report["summary"]["feasible"] else EXIT_INFEASIBLE
 
 

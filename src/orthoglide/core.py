@@ -56,8 +56,8 @@ class SerialSingularity(_AxisError):
 
 class ZeroJoint(_AxisError):
     """A joint the direct kinematics cannot divide by: zero, NaN, or below
-    about 1.5e-154 L in magnitude, where 4L^2 sum(rho_i^-2) overflows (below
-    2.2e-308, a subnormal, in equidistant_point and plane_eval, which take no L)."""
+    about 1.5e-154 L in magnitude, where 4L^2 sum(rho_i^-2) overflows (in
+    equidistant_point and plane_eval, which take no L: subnormal, or a divisor that overflows)."""
 
 
 class NoDkSolution(KinematicsError):

@@ -66,6 +66,14 @@ def _require_nonzero(rho: JointVector) -> None:
                         "equidistant line undefined")
 
 
+def _no_overflow(value, nums: tuple, rho: JointVector):
+    """``value``, from quotients ``nums[i] / rho[i]``: ZeroJoint names the first to overflow."""
+    for a, num, r in zip(AXES, nums, rho):
+        if math.isinf(num / r):
+            raise ZeroJoint(a, f"rho_{a} = {r!r} is too small: {num!r} / rho_{a} overflows")
+    return value
+
+
 def _quadratic(rho: JointVector, L2: float) -> tuple[float, float]:
     """``dk_coefficients``' ``(a, c)``, given ``L2 = L * L``."""
     x, y, z = rho
@@ -143,18 +151,16 @@ def equidistant_point(rho: JointVector, t: float) -> CartesianPoint:
     whatever t is.
     """
     _require_nonzero(rho)
-    return CartesianPoint(
-        rho.x / 2.0 + t / rho.x,
-        rho.y / 2.0 + t / rho.y,
-        rho.z / 2.0 + t / rho.z,
-    )
+    p = CartesianPoint(rho.x / 2.0 + t / rho.x, rho.y / 2.0 + t / rho.y, rho.z / 2.0 + t / rho.z)
+    return p if math.isfinite(p.x + p.y + p.z) else _no_overflow(p, (t, t, t), rho)
 
 
 def plane_eval(p: CartesianPoint, rho: JointVector) -> float:
     """Signed evaluation of the joint-centre plane:
     ``p_x/rho_x + p_y/rho_y + p_z/rho_z - 1``; zero iff p lies on it."""
     _require_nonzero(rho)
-    return p.x / rho.x + p.y / rho.y + p.z / rho.z - 1.0
+    value = p.x / rho.x + p.y / rho.y + p.z / rho.z - 1.0
+    return value if math.isfinite(value) else _no_overflow(value, p, rho)
 
 
 def posture_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -> int:

@@ -35,39 +35,41 @@ class IkSolution(NamedTuple):
     branch: Branch
 
 
-def _radicands(p: CartesianPoint, params: ManipulatorParams) -> tuple[float, float, float]:
-    """Per axis, L^2 minus the other two squares.  Raises RadicandNegative
-    for the first NaN one: a NaN point has no branch, flag or region."""
-    L2 = params.L * params.L
+def _radicands(p, L: float) -> tuple:
+    """Per axis, L^2 minus the other two squares; floats or arrays alike."""
     x, y, z = p
-    rads = (L2 - y * y - z * z, L2 - x * x - z * z, L2 - x * x - y * y)
-    # No radicand can be +inf, so only a NaN one makes the sum NaN.
+    L2 = L * L
+    return L2 - y * y - z * z, L2 - x * x - z * z, L2 - x * x - y * y
+
+
+def _real(p: CartesianPoint, rads: tuple[float, float, float]) -> tuple[float, float, float]:
+    """``rads``, the radicands of ``p``.  Raises RadicandNegative for the
+    first NaN one: a NaN point has no branch, flag or region."""
+    # No radicand can be -inf while another is +inf, so only a NaN one makes the sum NaN.
     if math.isnan(rads[0] + rads[1] + rads[2]):
         axis = AXES[[math.isnan(rad) for rad in rads].index(True)]
         raise RadicandNegative(axis, f"axis {axis}: radicand is NaN; point {tuple(p)}")
     return rads
 
 
-def _chords(rads: tuple[float, float, float], tol: float) -> tuple[float, float, float]:
-    """sqrt of each radicand, clamped to 0 within ``tol``.  Raises RadicandNegative
-    for the first below ``-tol`` (outside reach, so no branch can solve it)."""
+def _chords(p: CartesianPoint, rads: tuple, tol: float) -> tuple[float, float, float]:
+    """sqrt of each radicand of ``p``, clamped to 0 within ``tol``.  Raises RadicandNegative
+    for the first NaN one, else for the first below ``-tol`` (outside reach)."""
     rx, ry, rz = rads
-    if rx < -tol or ry < -tol or rz < -tol:
-        for axis, rad in zip(AXES, rads):
-            if rad < -tol:
-                raise RadicandNegative(
-                    axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach"
-                )
+    if not (rx >= -tol and ry >= -tol and rz >= -tol):
+        axis, rad = next((a, r) for a, r in zip(AXES, _real(p, rads)) if r < -tol)
+        raise RadicandNegative(axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach")
     return (math.sqrt(rx) if rx > 0.0 else 0.0, math.sqrt(ry) if ry > 0.0 else 0.0,
             math.sqrt(rz) if rz > 0.0 else 0.0)
 
 
 def _singular_axes(rads: tuple[float, float, float], tol: float) -> AxisFlags:
-    """Per axis, whether the radicand is within ``tol`` of zero."""
+    """Per axis, whether the radicand is within ``tol`` of zero; floats or arrays alike."""
     return AxisFlags(abs(rads[0]) <= tol, abs(rads[1]) <= tol, abs(rads[2]) <= tol)
 
 
 def _branch_joints(p: CartesianPoint, chords: tuple[float, ...], branch: Branch) -> JointVector:
+    """``branch``'s joints from the half-chords; floats or arrays alike."""
     hx, hy, hz = chords
     return JointVector(p.x + branch.sx * hx, p.y + branch.sy * hy, p.z + branch.sz * hz)
 
@@ -79,7 +81,7 @@ def ik_branch(p: CartesianPoint, branch: Branch, params: ManipulatorParams) -> I
     branches coincide there; the singular surface is still a valid
     workspace boundary point).
     """
-    chords = _chords(_radicands(p, params), params.eps_geom * params.L * params.L)
+    chords = _chords(p, _radicands(p, params.L), params.eps_geom * params.L * params.L)
     return IkSolution(_branch_joints(p, chords, branch), branch)
 
 
@@ -92,7 +94,7 @@ def ik_enumerate_feasible(p: CartesianPoint, params: ManipulatorParams) -> list[
     workspace classifier is the authority on which case applies).
     """
     try:
-        chords = _chords(_radicands(p, params), params.eps_geom * params.L * params.L)
+        chords = _chords(p, _radicands(p, params.L), params.eps_geom * params.L * params.L)
     except RadicandNegative:
         return []
     hi = 2.0 * params.L
@@ -129,4 +131,4 @@ def is_serial_singular(p: CartesianPoint, params: ManipulatorParams) -> AxisFlag
     (rho_i = p_i), i.e. the leg is orthogonal to its prismatic axis.
     Raises RadicandNegative for a point with a NaN coordinate.
     """
-    return _singular_axes(_radicands(p, params), params.eps_geom * params.L * params.L)
+    return _singular_axes(_real(p, _radicands(p, params.L)), params.eps_geom * params.L * params.L)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CartesianPoint, ManipulatorParams, VolumeOutOfRange
-from .inverse import _radicands
+from .inverse import _radicands, _real
 
 
 class WorkspaceRegion(Enum):
@@ -57,7 +57,7 @@ def _in_C(x2, y2, z2, L2):
 def in_cylinder_intersection(p: CartesianPoint, params: ManipulatorParams) -> bool:
     """Closed membership test: all pairwise coordinate square sums <= L^2.
     Raises RadicandNegative for a point with a NaN coordinate."""
-    _radicands(p, params)
+    _real(p, _radicands(p, params.L))
     return _in_C(p.x * p.x, p.y * p.y, p.z * p.z, params.L * params.L)
 
 
@@ -70,7 +70,9 @@ def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceReg
     indeterminate and no count is asserted.  Raises RadicandNegative for a
     point with a NaN coordinate.
     """
-    _radicands(p, params)
+    rads = _radicands(p, params.L)
+    if math.isnan(rads[0] + rads[1] + rads[2]):  # only then pay the call that raises
+        _real(p, rads)
     return _region(p.x, p.y, p.z, params.L, params.eps_geom * params.L)
 
 

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import orthoglide
-from orthoglide import __version__, cli
+from orthoglide import RadicandNegative, __version__, cli
 from orthoglide.cli import main
 from orthoglide.jointspace import SphericalDirection
 
@@ -300,6 +301,32 @@ class TestTrajectoryCommand:
             main(["trajectory", "-L", "1", "-w", "0,0,0", "--step", "0.1"])
         assert exc.value.code == 2
 
+    def test_overflowing_radicands_stop_or_raise_without_warnings(self, capsys):
+        """At L = 1e200, L^2 overflows: the origin's radicands and the band
+        around them are inf, so it is singular on every axis and its joints
+        are inf and fail the limits, and (1e199, 0, 0) has NaN radicands.
+        The abort policy stops at the origin before the NaN step; holding the
+        branch reaches it and raises, as ik_branch does there.  The column
+        kernel's inf and NaN arithmetic warns nowhere: stderr holds only the
+        metadata line."""
+        argv = ["trajectory", "-L", "1e200", "-w", "0,0,0", "-w", "1e200,0,0", "--step", "1e199"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, [*argv, "--csv"])
+            assert code == 1
+            assert out.splitlines()[1:] == [
+                "0,0.0,0.0,0.0,inf,inf,inf,PPP,sphere_interior,x;y;z,False,False"]
+            meta = json.loads(err)
+            assert err == json.dumps(meta) + "\n"
+            assert meta["summary"] == {
+                "feasible": False, "first_failure_index": 0, "aborted_at": 0, "n_steps": 1,
+                "n_singular_steps": 1, "n_limit_violations": 1, "n_infeasible_steps": 0}
+            with pytest.raises(RadicandNegative) as exc:
+                main([*argv, "--policy", "warn-and-hold-branch"])
+        assert exc.value.axis == "y"
+        assert str(exc.value) == "axis y: radicand is NaN; point (1e+199, 0.0, 0.0)"
+        assert capsys.readouterr() == ("", "")
+
 
 class TestVolumesCommand:
     def test_closed_form(self, capsys):
@@ -501,6 +528,32 @@ class TestWriters:
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
             assert out == buf.getvalue(), argv
+
+    def test_csv_is_csv_writer_of_the_json_values(self, capsys):
+        """The long lists' CSV rows are ``csv.writer`` applied to the typed
+        values the JSON report holds for the same call."""
+        fields = []
+        for argv in self.argvs("--json"):
+            _, report = run_json(capsys, argv)
+            _, out, _ = run(capsys, [*argv[:-1], "--csv"])
+            if "records" in report:
+                header = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z", "branch",
+                          "region", "singular_axes", "joint_limits_ok", "infeasible")
+                rows = [(r["index"], *r["p"], *(r["rho"] or ("", "", "")), r["branch"],
+                         r["region"], ";".join(r["singular_axes"]), r["joint_limits_ok"],
+                         r["infeasible"]) for r in report["records"]]
+            else:
+                header = ("phi", "theta", "t", "rho_x", "rho_y", "rho_z")
+                rows = [tuple(r.values()) for r in report["rows"]]
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+            assert out == buf.getvalue(), argv
+            fields += [v for row in rows for v in row]
+        # The fixtures reach every kind of field the line template writes.
+        assert "" in fields and "x;y;z" in fields
+        assert any(v is True for v in fields) and any(v is False for v in fields)
+        assert any(isinstance(v, float) and math.isinf(v) for v in fields)
+        assert any(isinstance(v, float) and v == 0.0 and math.copysign(1.0, v) < 0 for v in fields)
 
     def test_emit_writes_once_per_call(self, capsys, monkeypatch):
         calls = []

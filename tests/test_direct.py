@@ -216,6 +216,29 @@ def test_unusable_joint_raises_from_equidistant_point_and_plane_eval(axis, value
         assert exc.value.axis == "xyz"[axis]
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_overflowing_quotient_raises_from_equidistant_point_and_plane_eval(axis):
+    """A normal joint so small that t / rho_i or p_i / rho_i overflows is a
+    ZeroJoint on the first such axis, not a silent inf."""
+    rho = [1.0, 1.0, 1.0]
+    rho[axis] = 1e-300
+    p = [0.0, 0.0, 0.0]
+    p[axis] = 1e10
+    for call in (lambda: equidistant_point(JointVector(*rho), 1e10),
+                 lambda: plane_eval(CartesianPoint(*p), JointVector(*rho))):
+        with pytest.raises(ZeroJoint) as exc:
+            call()
+        assert exc.value.axis == "xyz"[axis]
+    # Every quotient overflows: the first axis is named.
+    with pytest.raises(ZeroJoint) as exc:
+        equidistant_point(JointVector(1.0, -1e-300, 1e-300), 1e10)
+    assert exc.value.axis == "y"
+    # The same joint with a quotient that fits is no error.
+    assert equidistant_point(JointVector(*rho), 1e-10)[axis] == 1e-300 / 2.0 + 1e-10 / 1e-300
+    tiny = JointVector(1e-300, 1.0, 1.0)
+    assert plane_eval(CartesianPoint(1e-10, 0.0, 0.0), tiny) == 1e-10 / 1e-300 - 1.0
+
+
 class TestInvariants:
     def test_midline_point_on_plane(self, unit_params):
         rng = np.random.default_rng(7)

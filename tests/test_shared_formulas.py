@@ -7,12 +7,14 @@ functions, on a seeded sweep that includes the exact edges: radicands at
 ``+-eps_geom * L^2`` and a few ulps either side, points on the sphere and
 cylinder bands, joints at exactly 0 and 2L, and discriminants either side of
 the DK flat band.  Floats are compared with ``float.hex``, so a signed zero
-or a last-bit difference fails.
+or a last-bit difference fails.  The ``trajectory`` command computes the same
+answers for all its steps at once, on arrays, and is held to the same bits.
 """
 
 import json
 import math
 import random
+import warnings
 
 import pytest
 
@@ -60,6 +62,21 @@ def ulps(v, k):
     return v
 
 
+def exact_radicands(L):
+    """Points whose x radicand, as the package computes it, is exactly
+    ``eps_geom * L^2``, its negative, or 0.  y leaves ``L^2 - y^2`` near half
+    or twice the band, z takes up the rest, and y moves an ulp at a time
+    until the rounding lands on the target."""
+    L2, tol = L * L, 1e-9 * L * L
+    for target in (tol, -tol, 0.0):
+        for y in (ulps(math.sqrt(L2 - a * tol), k) for a in (2.0, 0.5) for k in range(-8, 9)):
+            if L2 - y * y - target >= 0.0:
+                z = math.sqrt(L2 - y * y - target)
+                if L2 - y * y - z * z == target:
+                    yield (0.25 * L, y, z)
+                    break
+
+
 def edge_points(L, rng):
     """Exact points, radicands at and around the band edge, sphere and
     cylinder points, and random points, all in units of ``L``."""
@@ -68,6 +85,8 @@ def edge_points(L, rng):
         (L, 0.0, 0.0), (0.0, L, 0.0), (0.0, 0.0, L), (-L, 0.0, 0.0), (0.0, 0.0, 0.0),
         (-0.0, 0.0, -0.0), (L / 2, L / 2, L / 2), (2 * L, 0.0, 0.0),
         (L / math.sqrt(2), L / math.sqrt(2), L / math.sqrt(2)),
+        (-0.0, L, -0.0), (L, -0.0, 0.0), (-0.0, -0.0, -L), (-0.0, 0.5 * L, -2 * L),
+        *exact_radicands(L),
     ]
     for _ in range(12):
         # x radicand L^2 - y^2 - z^2 near +-tol: y from z, then nudged by ulps
@@ -124,6 +143,12 @@ class TestSharedFormulas:
         # p = (L, 0, 0): joints at exactly 0 and 2L
         rhos = [ik_branch(points[0], b, params).rho for b in BRANCH_ORDER]
         assert any(0.0 in r for r in rhos) and any(2 * params.L in r for r in rhos)
+        # radicands of exactly 0 and +-(eps_geom * L) * L, the band as the
+        # package rounds it; signed zeros; all three axes singular
+        band = params.eps_geom * params.L * params.L
+        assert {band, -band, 0.0} <= set(rads)
+        assert any(math.copysign(1.0, c) < 0 for p in points for c in p if c == 0.0)
+        assert any(is_serial_singular(p, params) == (True, True, True) for p in points)
         discs = [dk_coefficients(r, params).discriminant for r in joints if 0.0 not in r]
         assert any(d > params.eps_geom for d in discs)
         assert any(abs(d) <= params.eps_geom for d in discs)
@@ -211,13 +236,22 @@ class TestSharedFormulas:
         # segment from the origin ends exactly on its waypoint.
         argv = ["trajectory", "-L", repr(params.L), "--step", "1e300", "-b", label,
                 "--policy", "warn-and-hold-branch", "--json"]
-        for p in points:
-            argv += ["-w", "0,0,0", "-w", ",".join(map(repr, p))]
-        main(argv)
-        records = json.loads(capsys.readouterr().out)["records"]
-        assert [r["p"] for r in records[1::2]] == [list(p) for p in points]
+
+        def records(*waypoints):
+            main(argv + [a for w in waypoints for a in ("-w", ",".join(map(repr, w)))])
+            return json.loads(capsys.readouterr().out)["records"]
+
+        # 0.0 + -0.0 is 0.0, so only the first waypoint keeps a signed zero:
+        # each point with one also starts a path of its own.
+        signed = [p for p in points if any(math.copysign(1.0, c) < 0 for c in p if c == 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            along = records(*(w for p in points for w in ((0.0, 0.0, 0.0), p)))
+            first = [records(p, (0.0, 0.0, 0.0))[0] for p in signed]
+        assert [r["p"] for r in along[1::2]] == [list(p) for p in points]
+        assert [bits(r["p"]) for r in first] == [bits(p) for p in signed]
         branch = Branch.from_label(label)
-        for rec in records:
+        for rec in along + first:
             p = CartesianPoint(*rec["p"])
             assert rec["region"] == classify_point(p, params).value
             assert rec["singular_axes"] == list(is_serial_singular(p, params).axes())
