@@ -12,6 +12,10 @@ JSON reports echo the full input, the tolerances, and the library version,
 so any reported solution can be re-verified by feeding it back through
 ``dk``/``ik``.  In CSV mode the same metadata goes to stderr so stdout
 stays machine-parseable.
+
+The argument parser is built once per process and reused.  A known command's
+arguments are parsed by that command's own parser, without first being
+checked against the top-level options.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ EXIT_USAGE = 2
 CONFIG_ENV_VAR = "ORTHOGLIDE_CONFIG"
 
 _json_str = json.encoder.encode_basestring_ascii
+#: ``json.dumps(value, indent=2)``; a report is a tree, so no cycle check.
+_json_indent = json.JSONEncoder(indent=2, check_circular=False).encode
 
 # Accept option values like "-0.5,0.4,0.3": anything starting "-<digit>" or
 # "-.<digit>" is a value, not an option (no option strings look numeric).
@@ -89,13 +95,17 @@ def _posture(text: str) -> int:
     raise argparse.ArgumentTypeError(f"posture must be -1 or +1, got {text!r}")
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction | None:
+    """``parser``'s subparsers action, if it has one."""
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
 def _parsers(parser: argparse.ArgumentParser):
     """``parser`` and every subparser below it."""
     yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _parsers(sub)
+    action = _subcommands(parser)
+    for sub in action.choices.values() if action else ():
+        yield from _parsers(sub)
 
 
 def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
@@ -175,12 +185,12 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
             line = ",".join(["%s"] * len(header)) + "\n"
             sys.stdout.writelines(map(line.__mod__, chain((tuple(header),), rows)))
     elif key is None:
-        print(json.dumps(report, indent=2))
+        print(_json_indent(report))
     else:
         # A top-level key sits at exactly "\n  " and a JSON string holds no
         # raw newline, so the placeholder occurs once.
         placeholder = f"\n  {_json_str(key)}: []"
-        head, tail = json.dumps({**report, key: []}, indent=2).split(placeholder)
+        head, tail = _json_indent({**report, key: []}).split(placeholder)
         body = ",\n".join(items)
         print(head, placeholder[:-2], f"[\n{body}\n  ]" if body else "[]", tail, sep="")
 
@@ -305,8 +315,15 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise ValueError("need at least two -w/--waypoint arguments")
     if not args.step > 0:
         raise ValueError("--step must be positive")
-    if not all(math.isfinite(math.dist(a, b) / args.step) for a, b in zip(wps, wps[1:])):
+    spans = [math.dist(a, b) / args.step for a, b in zip(wps, wps[1:])]
+    if not all(map(math.isfinite, spans)):
         raise ValueError(f"--step {args.step!r} is too small: the step count overflows")
+    # Past 2**53 steps a segment's i and n stop being exact floats; checked
+    # before anything is allocated for them.
+    counts = [max(1, math.ceil(s)) for s in spans]
+    if max(counts) > 2**53:
+        raise ValueError(f"--step {args.step!r} is too small: one segment needs "
+                         f"{max(counts):.3g} steps, more than 2**53")
     branch = args.branch
     abort = args.policy == "abort"
     report = _base_report("trajectory", params, {
@@ -321,7 +338,6 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     with np.errstate(all="ignore"):
         # After the first waypoint, each segment's a + (i/n)(b - a), i = 1..n.
         a, b = np.array(wps[:-1]).T, np.array(wps[1:]).T
-        counts = [max(1, math.ceil(math.dist(u, v) / args.step)) for u, v in zip(wps, wps[1:])]
         f = np.concatenate([np.arange(1, n + 1) / n for n in counts])
         points = np.hstack([a[:, :1], np.repeat(a, counts, 1) + f * np.repeat(b - a, counts, 1)])
         rads = np.array(_radicands(points, L))
@@ -443,13 +459,37 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+class _TopLevelParser(argparse.ArgumentParser):
+    """Hands the arguments after a known command straight to that command's
+    parser.  argparse's subparsers action passes them on unchanged too, but
+    only after matching each one against the top-level options."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        rest = sys.argv[1:] if args is None else list(args)
+        # "--=x" abbreviates both --help and --version, which the top level
+        # rejects as ambiguous before any command sees it.
+        if namespace is not None or any(a.startswith("--=") for a in rest):
+            return super().parse_known_args(args, namespace)
+        names, parser = {}, self
+        while (action := _subcommands(parser)) is not None:
+            if not rest or rest[0] not in action.choices:
+                return super().parse_known_args(args, namespace)
+            names[action.dest], parser, rest = rest[0], action.choices[rest[0]], rest[1:]
+        # As the subparsers action does: the command's values over the names.
+        namespace = argparse.Namespace(**names)
+        parsed, extras = parser.parse_known_args(rest)
+        vars(namespace).update(vars(parsed))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _TopLevelParser(
         prog="orthoglide",
         description="Kinematics and workspace analysis for the Orthoglide parallel manipulator.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
 
     p_ik = sub.add_parser("ik", help="inverse kinematics for one point")
     _add_common(p_ik)
@@ -522,8 +562,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Read per call.  A string default goes through ``type=_config`` when
     # --config is absent, so a bad env-var file fails from its subcommand.
     env_config = os.environ.get(CONFIG_ENV_VAR) or {}
-    for command in commands:
-        command.set_defaults(config=env_config)
+    if commands[0].get_default("config") != env_config:
+        for command in commands:
+            command.set_defaults(config=env_config)
     args = parser.parse_args(argv)
     for key, (_, default) in _SETTINGS.items():
         if getattr(args, key, None) is None:

@@ -55,9 +55,13 @@ class SerialSingularity(_AxisError):
 
 
 class ZeroJoint(_AxisError):
-    """A joint the direct kinematics cannot divide by: zero, NaN, or below
-    about 1.5e-154 L in magnitude, where 4L^2 sum(rho_i^-2) overflows (in
-    equidistant_point and plane_eval, which take no L: subnormal, or a divisor that overflows)."""
+    """A joint the direct kinematics cannot divide by: zero, NaN, or one where
+    4L^2 sum(rho_i^-2) is not finite.  In units of L that is below about
+    1.5e-154 L in magnitude, but rho_i^2 and L^2 are formed in absolute units,
+    so it is also raised with rho = L wherever one of them underflows or
+    overflows: any joint below about 1e-154 or L above about 1.3e154 (e.g.
+    L = rho_i = 1e-300 or 1e200; see ROADMAP item 1).  In equidistant_point
+    and plane_eval, which take no L: subnormal, or a divisor that overflows."""
 
 
 class NoDkSolution(KinematicsError):

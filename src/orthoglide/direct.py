@@ -97,7 +97,9 @@ def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
 
     Raises ZeroJoint for the first axis at which ``4 * a * L^2`` stops being
     finite: a zero or NaN joint, or one so small next to L that the
-    discriminant would overflow.
+    discriminant would overflow.  The squares are absolute, so a joint below
+    about 1e-154 or an L above about 1.3e154 raises it even at rho = L
+    (ROADMAP item 1).
     """
     a, c = _quadratic(rho, params.L * params.L)
     return DkQuadratic(a, 1.0, c)

@@ -3,9 +3,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
+from argparse import ArgumentParser
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,11 @@ def test_negative_values_parse_as_values(capsys, argv, code):
          "--step must be positive"),
         (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1e300,0,0", "--step", "1e-300"], None,
          "--step 1e-300 is too small: the step count overflows"),
+        # Rejected before numpy allocates anything for the steps.
+        (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "1e-290"], None,
+         "--step 1e-290 is too small: one segment needs 1e+290 steps, more than 2**53"),
+        (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "1e-17"], None,
+         "--step 1e-17 is too small: one segment needs 1e+17 steps, more than 2**53"),
         (["jointspace", "boundary-sample", "-L", "1", "--grid", "0"], None, "--grid must be >= 1"),
         (["volumes", "-L", "1", "--mc", "50"], None, "n_samples must be >= 10000, got 50"),
         (["volumes", "-L", "1", "--mc", "10000", "--seed", "-1"], None,
@@ -712,3 +720,101 @@ class TestParserReuse:
             assert [run(capsys, argv)[0] for _ in range(3)] == [7, 7, 7]
             assert builds == [1]
         assert run(capsys, argv)[0] == 0
+
+    def test_main_calls_the_built_parsers_parse_args_once(self, capsys, monkeypatch):
+        """The benchmark's tracer times parsing by wrapping ``parse_args`` on
+        the parser ``build_parser`` returns, so main must parse through it."""
+        original = cli.build_parser
+        calls = []
+
+        def build_parser():
+            parser = original()
+            parse_args = parser.parse_args
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return parse_args(*args, **kwargs)
+
+            parser.parse_args = counted
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        for argv in self.ARGVS:
+            calls.clear()
+            run_any(capsys, argv)
+            assert calls == [(argv,)], argv
+
+
+class TestCommandDispatch:
+    """The top-level parser hands a known command's arguments to that
+    command's parser; argparse's full parse must give the same result."""
+
+    COMMANDS = 2 * [["ik"], ["dk"], ["trajectory"], ["volumes"], ["jointspace", "check"],
+                    ["jointspace", "boundary-sample"]] + [["jointspace"], ["jointspace", "ik"],
+                                                          ["IK"], ["--"], []]
+    #: Each command's required arguments; T is a triple, N a number.
+    REQUIRED = {"ik": ["-L", "N", "-p", "T"], "dk": ["-L", "N", "-r", "T"],
+                "trajectory": ["-L", "N", "-w", "T", "-w", "T", "--step", "N"],
+                "volumes": ["-L", "N"], "check": ["-L", "N", "-r", "T"],
+                "boundary-sample": ["-L", "N"]}
+    TRIPLES = ["0.1,0.2,0.3", "-0.5,0.4,0.3", "-.2,0,0", "0,0,0", "-1e-3,-2,3", "1,2", "a,b,c",
+               "nan,0,0"]
+    NUMBERS = ["1", "2.5", "-1", "+1", "0", "1e-9", "-.5", "x", "10000", "nan"]
+    WORDS = ["PPP", "MPM", "XYZ", "abort", "warn-and-hold-branch", "ik", "extra", "-"]
+    HEADS = ["-h", "--help", "--version", "--vers", "--he", "--=x", "-hx", "--", "-L", "1"]
+    #: Options, abbreviations (some ambiguous), the top level's own options
+    #: after a command, and unknown or malformed ones.
+    OPTIONS = ["-L", "--leg-length", "--leg", "--eps-geom", "--eps-g", "--eps", "--eps-branch",
+               "--config", "--co", "--c", "--json", "--csv", "--js", "-p", "--point", "--po",
+               "-b", "--branch", "-r", "--joints", "-m", "--posture", "-w", "--waypoint",
+               "--step", "--st", "--policy", "--mc", "--seed", "--grid", "--gr", "-h", "--help",
+               "--version", "--vers", "--", "--=x", "--step=0.1", "-L1", "-L=2", "-z", "--bogus"]
+
+    def draw(self, rng, configs):
+        argv = [rng.choice(self.HEADS)] if rng.random() < 0.1 else []
+        command = rng.choice(self.COMMANDS)
+        argv += command
+        pools = {"T": self.TRIPLES, "N": self.NUMBERS}
+        body = [rng.choice(pools[t]) if t in pools else t
+                for t in self.REQUIRED.get(command[-1] if command else "", [])]
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            tokens = [rng.choice(self.OPTIONS)]
+            if rng.random() < 0.6:
+                tokens.append(rng.choice(configs if tokens[0] in ("--config", "--co") else
+                                         self.TRIPLES + self.NUMBERS + self.WORDS))
+            at = rng.randint(0, len(body))
+            body[at:at] = tokens
+        return argv + body
+
+    def outcome(self, parse, argv):
+        """The parse result or exit code, by repr so NaN equals NaN, and the output."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                result = parse(argv)
+            except SystemExit as exc:
+                result = exc.code
+        return repr(result), out.getvalue(), err.getvalue()
+
+    def test_matches_argparse_on_drawn_argvs(self, tmp_path):
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text("eps_geom = 1e-7\nseed = 4\n")
+        bad.write_text("tolerance = 1\n")
+        configs = [str(good), str(bad), str(tmp_path / "missing.cfg")]
+        parser, commands = cli._parser()
+        rng = random.Random(20261018)
+        parsed = 0
+        try:
+            for _ in range(2000):
+                # As main sets it from ORTHOGLIDE_CONFIG: none, or a bad file.
+                env_config = str(bad) if rng.random() < 0.1 else {}
+                for command in commands:
+                    command.set_defaults(config=env_config)
+                argv = self.draw(rng, configs)
+                want = self.outcome(lambda a: ArgumentParser.parse_known_args(parser, a), argv)
+                assert self.outcome(parser.parse_known_args, argv) == want, argv
+                parsed += want[0].startswith("(Namespace(")
+        finally:
+            for command in commands:
+                command.set_defaults(config={})
+        assert parsed > 300
