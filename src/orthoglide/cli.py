@@ -49,7 +49,8 @@ from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
 from .inverse import _branch_joints, _radicands, _real, _singular_axes
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
 from .jointspace import SphericalDirection, boundary_radius, dk_feasible, feasibility_product
-from .workspace import _region, classify_point, monte_carlo_volumes, workspace_volumes
+from .workspace import WorkspaceRegion, _region, classify_point
+from .workspace import monte_carlo_volumes, workspace_volumes
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -201,10 +202,23 @@ def _template(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth).replace('"%s"', "%s")
 
 
-def _json_floats(values: Sequence[float]) -> Sequence:
-    """``values`` for ``%s`` slots: ``%s`` of a float is ``float.__repr__``, as
-    in json.dumps, but json.dumps spells inf and nan Infinity and NaN."""
-    return values if math.isfinite(sum(values)) else tuple(map(json.dumps, values))
+def _float_texts(values: Sequence[float], spell) -> list[str]:
+    """Each float of the column ``values`` as ``spell`` (``repr`` or
+    ``json.dumps``) writes it.  One orjson call writes the whole column with
+    the shortest digits that round-trip, as ``repr`` does; it spells the rest
+    differently, so ``spell`` writes every value that ``repr`` puts in exponent
+    notation (0 < |v| < 1e-4 or |v| >= 1e16) or that is not finite."""
+    import numpy as np
+    import orjson
+
+    column = np.ascontiguousarray(values, dtype=float)
+    if not column.size:
+        return []
+    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(column)
+    for k in np.flatnonzero(~((1e-4 <= size) & (size < 1e16)) & (size != 0.0)).tolist():
+        texts[k] = spell(float(column[k]))
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +316,9 @@ _RECORD, *_RECORD_INFEASIBLE = ("    " + _template({
 #: ``singular_axes`` in JSON and in CSV, by the code x + 2y + 4z of the serial flags.
 _SINGULAR = [[a for k, a in enumerate(AXES) if code >> k & 1] for code in range(8)]
 _AXES_JSON, _AXES_CSV = [_template(a, 3) for a in _SINGULAR], [";".join(a) for a in _SINGULAR]
+#: A region's ``report["records"]`` text in CSV and in JSON.
+_REGION_CSV = {r: r.value for r in WorkspaceRegion}
+_REGION_JSON = {r: _json_str(r.value) for r in WorkspaceRegion}
 _TRAJECTORY_HEADER = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
                       "branch", "region", "singular_axes", "joint_limits_ok", "infeasible")
 
@@ -367,9 +384,12 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "n_infeasible_steps": len(bad),
     })
     # The reported steps, written column-wise; an infeasible step has no joints.
-    (x, y, z), rho, codes = points[:, :n].tolist(), rho[:, :n].tolist(), codes.tolist()
-    ok = ok[:n].tolist()
-    regions = [r.value for r in map(_region, x, y, z, repeat(L), repeat(params.eps_geom * L))]
+    spell, region_text = (repr, _REGION_CSV) if args.fmt == "csv" else (json.dumps, _REGION_JSON)
+    x, y, z = points[:, :n].tolist()
+    regions = list(map(region_text.__getitem__,
+                       map(_region, x, y, z, repeat(L), repeat(params.eps_geom * L))))
+    x, y, z, *rho = (_float_texts(c, spell) for c in (*points[:, :n], *rho[:, :n]))
+    codes, ok = codes.tolist(), ok[:n].tolist()
     rows = records = ()
     if args.fmt == "csv":
         for k in bad:
@@ -377,8 +397,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         rows = zip(range(n), x, y, z, *rho, repeat(branch.label), regions,
                    map(_AXES_CSV.__getitem__, codes), ok, infeasible.tolist())
     else:
-        label, regions = _json_str(branch.label), list(map(_json_str, regions))
-        x, y, z, *rho = map(_json_floats, (x, y, z, *rho))
+        label = _json_str(branch.label)
         axes = [_AXES_JSON[c] for c in codes]
         records = list(map(_RECORD.__mod__, zip(range(n), x, y, z, repeat(label), regions, axes,
                                                  *rho, map(("false", "true").__getitem__, ok))))
@@ -451,8 +470,11 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
             t = boundary_radius(direction, params)
             ex, ey, ez = direction.unit_vector()
             rows.append((*direction, t, t * ex, t * ey, t * ez))
-    _emit(report, args.fmt, _BOUNDARY_HEADER, rows,
-          "rows", (_BOUNDARY_ROW % _json_floats(row) for row in rows))
+    # Written one grid line at a time, so only that line's texts are kept.
+    spell = repr if args.fmt == "csv" else json.dumps
+    texts = chain.from_iterable(zip(*(_float_texts(c, spell) for c in zip(*rows[k:k + n])))
+                                for k in range(0, n * n, n))
+    _emit(report, args.fmt, _BOUNDARY_HEADER, texts, "rows", map(_BOUNDARY_ROW.__mod__, texts))
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ from argparse import ArgumentParser
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orthoglide
@@ -578,6 +579,69 @@ class TestWriters:
                 calls.clear()
                 run(capsys, argv)
                 assert len(calls) == 1, argv
+
+
+class TestFloatTexts:
+    """``_float_texts`` writes each float as ``repr`` or ``json.dumps`` does,
+    so an orjson release that writes other digits, or switches notation at
+    other magnitudes, fails here instead of changing report bytes."""
+
+    EDGES = [0.0, math.inf, math.nan, 1e-4, math.nextafter(1e-4, 0), 1e16,
+             math.nextafter(1e16, 0), 9999999999999998.0, 5e-324]
+
+    @staticmethod
+    def doubles(seed=12):
+        """~10**5 doubles of both signs: random bits in every binade from the
+        subnormals to ``sys.float_info.max``, as many again in the binades
+        around ``repr``'s plain decimal range, 1e-4 <= |v| < 1e16, where
+        orjson's own digits are kept, and short decimals from 1e-18 to 1e22."""
+        rng = np.random.default_rng(seed)
+
+        def binades(count, low, high):  # biased exponents low .. high - 1
+            sign = rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+            exponent = rng.integers(low, high, count, dtype=np.uint64) << np.uint64(52)
+            mantissa = rng.integers(0, 1 << 52, count, dtype=np.uint64)
+            return (sign | exponent | mantissa).view(np.float64).tolist()
+
+        digits, powers = rng.integers(1, 10**6, 20_000), rng.integers(-18, 17, 20_000)
+        short = [float(f"{d}e{p}") for d, p in zip(digits.tolist(), powers.tolist())]
+        return binades(40_000, 0, 2047) + binades(40_000, 1023 - 15, 1023 + 55) + short
+
+    def test_doubles_reach_every_binade(self):
+        values = np.abs(np.array(self.doubles()))
+        assert ((0 < values) & (values < sys.float_info.min)).any()  # subnormals
+        # frexp's exponent e puts v in [2**(e-1), 2**e); the normal ones run -1021 .. 1024.
+        assert set(np.frexp(values)[1].tolist()) >= set(range(-1021, 1025))
+
+    @pytest.mark.parametrize("spell", [repr, json.dumps])
+    def test_writes_what_spell_writes(self, spell):
+        values = [*self.EDGES, *(-v for v in self.EDGES), *self.doubles()]
+        assert cli._float_texts(values, spell) == [spell(v) for v in values]
+
+    def test_empty_column(self):
+        assert cli._float_texts([], repr) == []
+
+
+def test_only_the_long_reports_import_orjson():
+    """``ik``, ``dk``, ``jointspace check`` and ``volumes`` start without
+    orjson's import; ``trajectory`` is the control that does import it."""
+    code = """if True:
+        import contextlib, io, sys
+        import orthoglide.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["ik", "-L", "1", "-p", "0.2,0.3,0.1"], ["dk", "-L", "1", "-r", "1,1,1"],
+                         ["jointspace", "check", "-L", "1", "-r", "1,1,1"],
+                         ["volumes", "-L", "1", "--mc", "10000"]):
+                assert cli.main(argv) == 0, argv
+            print("orjson" in sys.modules, file=sys.__stdout__)
+            cli.main(["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.1,0,0", "--step", "0.05"])
+            print("orjson" in sys.modules, file=sys.__stdout__)
+    """
+    env = {k: v for k, v in os.environ.items() if k != "ORTHOGLIDE_CONFIG"}
+    env["PYTHONPATH"] = str(Path(orthoglide.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
 
 
 class TestConfig:
