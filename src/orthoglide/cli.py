@@ -49,7 +49,7 @@ from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
 from .inverse import _branch_joints, _radicands, _real, _singular_axes
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
 from .jointspace import SphericalDirection, boundary_radius, dk_feasible, feasibility_product
-from .workspace import WorkspaceRegion, _region, classify_point
+from .workspace import _REGIONS, _region_code, classify_point
 from .workspace import monte_carlo_volumes, workspace_volumes
 
 EXIT_OK = 0
@@ -316,9 +316,9 @@ _RECORD, *_RECORD_INFEASIBLE = ("    " + _template({
 #: ``singular_axes`` in JSON and in CSV, by the code x + 2y + 4z of the serial flags.
 _SINGULAR = [[a for k, a in enumerate(AXES) if code >> k & 1] for code in range(8)]
 _AXES_JSON, _AXES_CSV = [_template(a, 3) for a in _SINGULAR], [";".join(a) for a in _SINGULAR]
-#: A region's ``report["records"]`` text in CSV and in JSON.
-_REGION_CSV = {r: r.value for r in WorkspaceRegion}
-_REGION_JSON = {r: _json_str(r.value) for r in WorkspaceRegion}
+#: A region's ``report["records"]`` text in CSV and in JSON, by its ``_region_code``.
+_REGION_CSV = [r.value for r in _REGIONS]
+_REGION_JSON = [_json_str(r.value) for r in _REGIONS]
 _TRAJECTORY_HEADER = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
                       "branch", "region", "singular_axes", "joint_limits_ok", "infeasible")
 
@@ -354,9 +354,14 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     # is_serial_singular, ik_branch and joint_limits_ok of every step at once.
     with np.errstate(all="ignore"):
         # After the first waypoint, each segment's a + (i/n)(b - a), i = 1..n.
-        a, b = np.array(wps[:-1]).T, np.array(wps[1:]).T
-        f = np.concatenate([np.arange(1, n + 1) / n for n in counts])
-        points = np.hstack([a[:, :1], np.repeat(a, counts, 1) + f * np.repeat(b - a, counts, 1)])
+        try:
+            a, b = np.array(wps[:-1]).T, np.array(wps[1:]).T
+            f = np.concatenate([np.arange(1, n + 1) / n for n in counts])
+            points = np.hstack([a[:, :1],
+                                np.repeat(a, counts, 1) + f * np.repeat(b - a, counts, 1)])
+        except MemoryError:  # a step count the allocator refuses outright
+            raise ValueError(f"--step {args.step!r} is too small: {1 + sum(counts):.3g} steps "
+                             "do not fit in memory") from None
         rads = np.array(_radicands(points, L))
         flags = _singular_axes(rads, tol)
         below = rads < -tol
@@ -386,8 +391,14 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     # The reported steps, written column-wise; an infeasible step has no joints.
     spell, region_text = (repr, _REGION_CSV) if args.fmt == "csv" else (json.dumps, _REGION_JSON)
     x, y, z = points[:, :n].tolist()
-    regions = list(map(region_text.__getitem__,
-                       map(_region, x, y, z, repeat(L), repeat(params.eps_geom * L))))
+    # classify_point of every reported step, with math.hypot's pairwise radii as there.
+    c_xy, c_xz, c_yz = (np.fromiter(map(math.hypot, u, v), float, n)
+                        for u, v in ((x, y), (x, z), (y, z)))
+    px, py, pz = points[:, :n]
+    with np.errstate(all="ignore"):  # r is inf where x*x + y*y + z*z overflows
+        r = np.sqrt(px * px + py * py + pz * pz)
+        region = _region_code(px, py, pz, c_xy, c_xz, c_yz, r, L, params.eps_geom * L)
+    regions = [region_text[k] for k in region.tolist()]
     x, y, z, *rho = (_float_texts(c, spell) for c in (*points[:, :n], *rho[:, :n]))
     codes, ok = codes.tolist(), ok[:n].tolist()
     rows = records = ()

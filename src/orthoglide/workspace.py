@@ -73,30 +73,35 @@ def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceReg
     rads = _radicands(p, params.L)
     if math.isnan(rads[0] + rads[1] + rads[2]):  # only then pay the call that raises
         _real(p, rads)
-    return _region(p.x, p.y, p.z, params.L, params.eps_geom * params.L)
+    x, y, z = p
+    code = _region_code(x, y, z, math.hypot(x, y), math.hypot(x, z), math.hypot(y, z),
+                        math.sqrt(x * x + y * y + z * z), params.L, params.eps_geom * params.L)
+    return _REGIONS[code]
 
 
-def _region(x: float, y: float, z: float, L: float, band: float) -> WorkspaceRegion:
-    """``classify_point`` of a point with no NaN coordinate, ``band = eps_geom * L``."""
-    c_xy = math.hypot(x, y)
-    c_xz = math.hypot(x, z)
-    c_yz = math.hypot(y, z)
+#: Regions by the code ``_region_code`` gives them.
+_REGIONS = (WorkspaceRegion.OUTSIDE, WorkspaceRegion.BOUNDARY_BAND, WorkspaceRegion.SHELL,
+            WorkspaceRegion.SPHERE_INTERIOR)
+
+
+def _region_code(x, y, z, c_xy, c_xz, c_yz, r, L: float, band: float):
+    """``_REGIONS`` index of a point with no NaN coordinate, from its pairwise
+    radii ``c_*``, its radius ``r`` and ``band = eps_geom * L``; floats or
+    arrays alike, so the tests are comparisons joined by ``&``.
+
+    Outside C (grown by the band) a point is outside (0).  In it, a point is
+    in the ball (3) short of the sphere's band; past that band and clear of
+    every cylinder wall's and coordinate plane's band, it is in the shell (2)
+    in the open first octant and outside (0) elsewhere; any other point is
+    in the band (1).
+    """
     out = L + band
-    if c_xy > out or c_xz > out or c_yz > out:
-        return WorkspaceRegion.OUTSIDE
-    r = math.sqrt(x * x + y * y + z * z)
-    if abs(r - L) <= band:
-        return WorkspaceRegion.BOUNDARY_BAND
-    if r < L:
-        # Pairwise radii never exceed r, so no cylinder wall is nearby.
-        return WorkspaceRegion.SPHERE_INTERIOR
-    if abs(c_xy - L) <= band or abs(c_xz - L) <= band or abs(c_yz - L) <= band:
-        return WorkspaceRegion.BOUNDARY_BAND
-    if abs(x) <= band or abs(y) <= band or abs(z) <= band:
-        return WorkspaceRegion.BOUNDARY_BAND
-    if x > 0 and y > 0 and z > 0:
-        return WorkspaceRegion.SHELL
-    return WorkspaceRegion.OUTSIDE
+    in_c = (c_xy <= out) & (c_xz <= out) & (c_yz <= out)
+    d = r - L
+    clear = ((d > band) & (abs(c_xy - L) > band) & (abs(c_xz - L) > band)
+             & (abs(c_yz - L) > band) & (abs(x) > band) & (abs(y) > band) & (abs(z) > band))
+    octant = (x > 0) & (y > 0) & (z > 0)
+    return in_c + 2 * (in_c & (d < -band)) + (in_c & clear) * (2 * octant - 1)
 
 
 # ---------------------------------------------------------------------------

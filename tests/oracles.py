@@ -109,3 +109,27 @@ def random_interior_directions(
     phis = rng.uniform(margin, half_pi - margin, size=n)
     thetas = rng.uniform(margin, half_pi - margin, size=n)
     return list(zip(phis, thetas))
+
+
+def early_return_region(x: float, y: float, z: float, L: float, band: float) -> WorkspaceRegion:
+    """The region of a point with no NaN coordinate, ``band = eps_geom * L``,
+    decided one test at a time with an early return, as the scalar classifier
+    once did.  The package's one region formula must agree with it."""
+    c_xy = math.hypot(x, y)
+    c_xz = math.hypot(x, z)
+    c_yz = math.hypot(y, z)
+    out = L + band
+    if c_xy > out or c_xz > out or c_yz > out:
+        return WorkspaceRegion.OUTSIDE
+    r = math.sqrt(x * x + y * y + z * z)
+    if abs(r - L) <= band:
+        return WorkspaceRegion.BOUNDARY_BAND
+    if r < L:
+        return WorkspaceRegion.SPHERE_INTERIOR
+    if abs(c_xy - L) <= band or abs(c_xz - L) <= band or abs(c_yz - L) <= band:
+        return WorkspaceRegion.BOUNDARY_BAND
+    if abs(x) <= band or abs(y) <= band or abs(z) <= band:
+        return WorkspaceRegion.BOUNDARY_BAND
+    if x > 0 and y > 0 and z > 0:
+        return WorkspaceRegion.SHELL
+    return WorkspaceRegion.OUTSIDE

@@ -1,21 +1,27 @@
 """Every path that shares a per-point formula gives bit-identical answers.
 
-The scalar kernels compute the three IK radicands, the region and the DK
-quadratic once per point and feed every answer from them.  These tests put
-each public answer next to the long way round, built from the other public
-functions, on a seeded sweep that includes the exact edges: radicands at
-``+-eps_geom * L^2`` and a few ulps either side, points on the sphere and
-cylinder bands, joints at exactly 0 and 2L, and discriminants either side of
-the DK flat band.  Floats are compared with ``float.hex``, so a signed zero
-or a last-bit difference fails.  The ``trajectory`` command computes the same
-answers for all its steps at once, on arrays, and is held to the same bits.
+The scalar kernels compute the three IK radicands and the DK quadratic once
+per point and feed every answer from them.  The region comes from one
+formula, ``workspace._region_code``, which ``classify_point`` applies to one
+point and ``trajectory`` to a column of steps; the early-return oracle
+``oracles.early_return_region`` pins its decisions at every edge, for L from
+1e-300 to 1e150.  These tests put each public answer next to the long way
+round, built from the other public functions, on a seeded sweep that
+includes the exact edges: radicands at ``+-eps_geom * L^2`` and a few ulps
+either side, points on the sphere and cylinder bands, joints at exactly 0
+and 2L, and discriminants either side of the DK flat band.  Floats are
+compared with ``float.hex``, so a signed zero or a last-bit difference
+fails.  The ``trajectory`` command computes the same answers for all its
+steps at once, on arrays, and is held to the same bits.
 """
 
+import itertools
 import json
 import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from orthoglide import (
@@ -30,6 +36,7 @@ from orthoglide import (
     RadicandNegative,
     SerialSingularity,
     SphericalDirection,
+    WorkspaceRegion,
     boundary_joint_vector,
     branch_of,
     classify_point,
@@ -46,6 +53,9 @@ from orthoglide import (
     posture_of,
 )
 from orthoglide.cli import main
+from orthoglide.workspace import _REGIONS, _region_code
+
+from oracles import early_return_region
 
 LENGTHS = (1.0, 2.5, 1e-3, 7e4)
 BY_LABEL = {b.label: b for b in BRANCH_ORDER}
@@ -263,3 +273,76 @@ class TestSharedFormulas:
             else:
                 assert bits(rec["rho"]) == bits(rho)
                 assert rec["joint_limits_ok"] == joint_limits_ok(rho, params)
+
+
+REGION_LENGTHS = (1e-300, 1e-150, 1e-3, 1.0, 7e4, 1e150)
+
+
+def region_edge_points(L, band, rng):
+    """Points at every edge the region decision draws: on the sphere and a few
+    ulps off, at the sphere band's edges, on and next to each cylinder wall and
+    its band edges, within each coordinate plane's band, and signed zeros."""
+    # In the band at eps_geom = 1e-15 only through its coordinate plane's band.
+    pts = [(0.5660209826516847 * L, 0.824390834008981 * L, 5.102049057790474e-16 * L)]
+    pts += itertools.product((0.0, -0.0, L, -L, 0.5 * L), (0.0, -0.0), (0.0, -0.0, 0.5 * L))
+    for _ in range(40):
+        u = [abs(rng.gauss(0.0, 1.0)) for _ in range(3)]
+        unit = [c / math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) for c in u]
+        sign = [rng.choice((1.0, 1.0, -1.0)) for _ in range(3)]
+        for radius, ks in ((L, range(-3, 4)), (L + band, (-1, 0, 1)), (L - band, (-1, 0, 1))):
+            pts += [tuple(s * ulps(c * radius, k) for s, c in zip(sign, unit)) for k in ks]
+        t = rng.uniform(0.0, math.pi / 2)
+        for radius in (L, L + band, L - band):
+            for k in (-1, 0, 1):
+                a, b = ulps(radius * math.cos(t), k), radius * math.sin(t)
+                for c in (rng.uniform(0.0, 1.0) * L, rng.uniform(-1.0, 1.0) * band, band):
+                    pts += [(a, b, c), (a, c, b), (c, a, b)]
+        q = [rng.uniform(0.3, 0.75) * L for _ in range(3)]
+        for v in (band, -band, ulps(band, 1), ulps(band, -1), rng.uniform(-2.0, 2.0) * band, -0.0):
+            pts += [tuple(v if i == j else c for j, c in enumerate(q)) for i in range(3)]
+    return pts
+
+
+# With eps_geom = 2**-30 a radius can be exactly L + band, so the edges' <= and
+# < are tested too; at 1e-15, L + band rounds up, so the plane band decides.
+@pytest.mark.parametrize("eps_geom", [1e-9, 1e-15, 2**-30])
+@pytest.mark.parametrize("L", REGION_LENGTHS)
+def test_region_formula_makes_the_early_return_decisions(L, eps_geom):
+    """``_region_code``, for one point through ``classify_point`` and for a
+    column of points as ``trajectory`` calls it, returns the region of the
+    one-test-at-a-time oracle on every edge the decision draws."""
+    params = ManipulatorParams(L, eps_geom=eps_geom)
+    band = eps_geom * L
+    pts = region_edge_points(L, band, random.Random(2026))
+    want = [early_return_region(x, y, z, L, band) for x, y, z in pts]
+    # At L = 1e-300, x * x underflows, so r is 0 and all of C is in the ball
+    # (ROADMAP item 1); the oracle says so too.
+    reached = set(WorkspaceRegion) if L * L > 0.0 else {WorkspaceRegion.OUTSIDE,
+                                                         WorkspaceRegion.SPHERE_INTERIOR}
+    assert set(want) == reached
+    scalar = [classify_point(CartesianPoint(*p), params) for p in pts]
+    xs, ys, zs = (list(c) for c in zip(*pts))
+    c_xy, c_xz, c_yz = (np.fromiter(map(math.hypot, u, v), float, len(pts))
+                        for u, v in ((xs, ys), (xs, zs), (ys, zs)))
+    x, y, z = np.array(xs), np.array(ys), np.array(zs)
+    with np.errstate(all="ignore"):
+        r = np.sqrt(x * x + y * y + z * z)
+        column = [_REGIONS[k] for k in _region_code(x, y, z, c_xy, c_xz, c_yz, r, L, band).tolist()]
+    assert [(p, s) for p, s, w in zip(pts, scalar, want) if s is not w] == []
+    assert [(p, c) for p, c, w in zip(pts, column, want) if c is not w] == []
+
+
+def test_trajectory_overflow_is_silent(capsys):
+    """The last steps of this path overflow x*x + y*y + z*z to inf: no
+    warning reaches stderr, and each region is still ``classify_point``'s."""
+    params = ManipulatorParams(1e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["trajectory", "-L", "1e154", "-w", "0,0,0", "-w", "9e153,9e153,9e153",
+              "--step", "1e153", "--policy", "warn-and-hold-branch", "--json"])
+    out = capsys.readouterr()
+    assert out.err == ""
+    records = json.loads(out.out)["records"]
+    assert any(math.isinf(x * x + y * y + z * z) for x, y, z in (rec["p"] for rec in records))
+    for rec in records:
+        assert rec["region"] == classify_point(CartesianPoint(*rec["p"]), params).value
