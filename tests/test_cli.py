@@ -71,8 +71,8 @@ def test_negative_values_parse_as_values(capsys, argv, code):
          "--step 1e-290 is too small: one segment needs 1e+290 steps, more than 2**53"),
         (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "1e-17"], None,
          "--step 1e-17 is too small: one segment needs 1e+17 steps, more than 2**53"),
-        # Under 2**53, but its 8 PB step column is more than any address space
-        # holds, so the allocator refuses it before touching memory.
+        # Under 2**53, but its 8 PB step column is more than the 128 TiB that a
+        # 64-bit Linux process can map by default, so it is refused untouched.
         (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "1e-15"], None,
          "--step 1e-15 is too small: 1e+15 steps do not fit in memory"),
         (["jointspace", "boundary-sample", "-L", "1", "--grid", "0"], None, "--grid must be >= 1"),
