@@ -21,7 +21,6 @@ checked against the top-level options.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -48,7 +47,8 @@ from .core import (
 from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
 from .inverse import _branch_joints, _radicands, _real, _singular_axes
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
-from .jointspace import SphericalDirection, boundary_radius, dk_feasible, feasibility_product
+from .jointspace import SphericalDirection, _radius, boundary_radius, dk_feasible
+from .jointspace import feasibility_product
 from .workspace import _REGIONS, _region_code, classify_point
 from .workspace import monte_carlo_volumes, workspace_volumes
 
@@ -175,16 +175,13 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
           key: str | None = None, items: Iterable[str] = ()) -> None:
     """Write a report to stdout: ``json.dumps(report, indent=2)``, with the
     JSON ``items`` spliced in as the list at ``report[key]``, or CSV ``header``
-    and ``rows`` with the rest on stderr.  A keyed list's rows go through a
-    ``%s`` line template: ``csv.writer``'s output for fields it does not quote."""
+    and ``rows`` with the rest on stderr, through a ``%s`` line template:
+    ``csv.writer``'s output for the fields it leaves unquoted, all that rows hold."""
     if fmt == "csv":
         meta = {k: v for k, v in report.items() if k not in ("rows", "records", "solutions")}
         print(json.dumps(meta), file=sys.stderr)
-        if key is None:
-            csv.writer(sys.stdout, lineterminator="\n").writerows(chain((header,), rows))
-        else:
-            line = ",".join(["%s"] * len(header)) + "\n"
-            sys.stdout.writelines(map(line.__mod__, chain((tuple(header),), rows)))
+        line = ",".join(["%s"] * len(header)) + "\n"
+        sys.stdout.writelines(map(line.__mod__, chain((tuple(header),), rows)))
     elif key is None:
         print(_json_indent(report))
     else:
@@ -256,9 +253,7 @@ def cmd_ik(args: argparse.Namespace) -> int:
     report["solutions"] = [_ik_solution_dict(p, s, params) for s in solutions]
     if error:
         report["error"] = error
-    rows = [
-        (d["branch"], *d["rho"], d["joint_limits_ok"]) for d in report["solutions"]
-    ]
+    rows = [(d["branch"], *d["rho"], d["joint_limits_ok"]) for d in report["solutions"]]
     _emit(report, args.fmt, ("branch", "rho_x", "rho_y", "rho_z", "joint_limits_ok"), rows)
     return EXIT_OK if solutions else EXIT_INFEASIBLE
 
@@ -297,9 +292,7 @@ def cmd_dk(args: argparse.Namespace) -> int:
     report["solutions"] = [_dk_solution_dict(rho, s, params) for s in solutions]
     if error:
         report["error"] = error
-    rows = [
-        (d["posture"], d["t"], *d["p"], d["plane_eval"]) for d in report["solutions"]
-    ]
+    rows = [(d["posture"] or "", d["t"], *d["p"], d["plane_eval"]) for d in report["solutions"]]
     _emit(report, args.fmt, ("posture", "t", "p_x", "p_y", "p_z", "plane_eval"), rows)
     return EXIT_OK if solutions else EXIT_INFEASIBLE
 
@@ -367,7 +360,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         below = rads < -tol
         chords = np.where(rads > 0.0, np.sqrt(rads), 0.0)
         rho = np.array(_branch_joints(CartesianPoint(*points), chords, branch))
-        ok = ~below.any(0) & ((0.0 < rho) & (rho <= 2.0 * L)).all(0)
+        ok = ~below.any(0) & joint_limits_ok(rho, params)
         halted = flags.x | flags.y | flags.z | ~ok
         nan = np.isnan(rads.sum(0))
     # The abort policy stops at the first serially singular or failed step.
@@ -448,19 +441,12 @@ def cmd_jointspace_check(args: argparse.Namespace) -> int:
     rho = JointVector(*args.joints)
     product = feasibility_product(rho, params)
     solutions = dk_both(rho, params)
-    limits = joint_limits_ok(rho, params)
-    feasible = dk_feasible(rho, params)
+    header = ("product", "dk_solvable", "joint_limits_ok", "feasible")
+    row = (product, bool(solutions), joint_limits_ok(rho, params), dk_feasible(rho, params))
     report = _base_report("jointspace-check", params, {"rho": list(rho)})
-    report.update(
-        product=product,
-        dk_solvable=bool(solutions),
-        joint_limits_ok=limits,
-        feasible=feasible,
-        on_boundary=len(solutions) == 1,
-    )
-    _emit(report, args.fmt, ("product", "dk_solvable", "joint_limits_ok", "feasible"),
-          [(product, bool(solutions), limits, feasible)])
-    return EXIT_OK if feasible else EXIT_INFEASIBLE
+    report.update(zip(header, row), on_boundary=len(solutions) == 1)
+    _emit(report, args.fmt, header, [row])
+    return EXIT_OK if row[-1] else EXIT_INFEASIBLE
 
 
 _BOUNDARY_HEADER = ("phi", "theta", "t", "rho_x", "rho_y", "rho_z")
@@ -468,23 +454,32 @@ _BOUNDARY_ROW = "    " + _template(dict.fromkeys(_BOUNDARY_HEADER, "%s"), 2)
 
 
 def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
+    import numpy as np
+
     params = args.params
     n = args.grid
     if n < 1:
         raise ValueError("--grid must be >= 1")
     report = _base_report("jointspace-boundary-sample", params, {"grid": n})
-    rows = []
-    half_pi = math.pi / 2.0
-    for i in range(n):
-        for j in range(n):
-            direction = SphericalDirection((i + 0.5) * half_pi / n, (j + 0.5) * half_pi / n)
-            t = boundary_radius(direction, params)
-            ex, ey, ez = direction.unit_vector()
-            rows.append((*direction, t, t * ex, t * ey, t * ez))
+    try:  # direction (i, j) is (angles[i], angles[j]), so unit_vector's products are outer ones
+        angles = (np.arange(n) + 0.5) * (math.pi / 2.0) / n
+        cos, sin = (np.fromiter(map(f, angles), float, n) for f in (math.cos, math.sin))
+        e = np.multiply.outer(cos, cos), np.multiply.outer(cos, sin), sin[:, None]
+        with np.errstate(over="ignore"):
+            t = _radius(*e, params.L, np.float_power, np.sqrt)
+        columns = (t, *(t * c for c in e))
+    except MemoryError:  # a grid the allocator refuses outright
+        raise ValueError(f"--grid {n} is too large: {n * n:.3g} directions "
+                         "do not fit in memory") from None
+    if t.max() == math.inf:  # the typed overflow, for the first direction in row order
+        i, j = divmod(int(t.argmax()), n)
+        boundary_radius(SphericalDirection(angles.item(i), angles.item(j)), params)
     # Written one grid line at a time, so only that line's texts are kept.
     spell = repr if args.fmt == "csv" else json.dumps
-    texts = chain.from_iterable(zip(*(_float_texts(c, spell) for c in zip(*rows[k:k + n])))
-                                for k in range(0, n * n, n))
+    angle = _float_texts(angles, spell)
+    texts = chain.from_iterable(
+        zip(repeat(angle[i], n), angle, *(_float_texts(c[i], spell) for c in columns))
+        for i in range(n))
     _emit(report, args.fmt, _BOUNDARY_HEADER, texts, "rows", map(_BOUNDARY_ROW.__mod__, texts))
     return EXIT_OK
 

@@ -20,6 +20,7 @@ constraint predicates.  Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -169,18 +170,9 @@ class Branch:
 PPP = Branch(1, 1, 1)
 
 #: All eight branches in output order: PPP first, the rest by label.
-BRANCH_ORDER: tuple[Branch, ...] = (PPP,) + tuple(
-    sorted(
-        (
-            Branch(sx, sy, sz)
-            for sx in (-1, 1)
-            for sy in (-1, 1)
-            for sz in (-1, 1)
-            if (sx, sy, sz) != (1, 1, 1)
-        ),
-        key=lambda b: b.label,
-    )
-)
+BRANCH_ORDER: tuple[Branch, ...] = (PPP,) + tuple(sorted(
+    (Branch(*s) for s in itertools.product((-1, 1), repeat=3) if s != (1, 1, 1)),
+    key=lambda b: b.label))
 #: The branches of BRANCH_ORDER, the very objects, by sign triple.
 _BRANCHES: dict[tuple[int, int, int], Branch] = {b.signs: b for b in BRANCH_ORDER}
 
@@ -241,14 +233,15 @@ def is_consistent(p: CartesianPoint, rho: JointVector, params: ManipulatorParams
 
 
 def joint_limits_ok(rho: JointVector, params: ManipulatorParams) -> bool:
-    """Exact actuation-range check ``0 < rho_i <= 2L``, no tolerance slack.
+    """Exact actuation-range check ``0 < rho_i <= 2L``, no tolerance slack; a
+    bool for floats, or one per column for the rows of a 3 x n array.
 
     The lower bound is strict and the upper closed; the workspace set
     algebra depends on exactly these open/closed choices, so any safety
     margin is the caller's business.
     """
-    hi = 2.0 * params.L
-    return 0.0 < rho.x <= hi and 0.0 < rho.y <= hi and 0.0 < rho.z <= hi
+    hi, (x, y, z) = 2.0 * params.L, rho
+    return (0.0 < x) & (x <= hi) & (0.0 < y) & (y <= hi) & (0.0 < z) & (z <= hi)
 
 
 def leg_angles(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -> LegAngles:

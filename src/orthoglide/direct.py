@@ -35,19 +35,18 @@ _NORMAL_MIN = sys.float_info.min  # equidistant_point and plane_eval divide by n
 
 @dataclass(frozen=True, slots=True)
 class DkQuadratic:
-    """The quadratic  a*t^2 + b*t + c = 0  normalised to b = 1:
+    """The quadratic  a*t^2 + t + c = 0, normalised so that t's coefficient is 1:
     a = sum(rho_i^-2) (length^-2), c = (sum(rho_i^2) - 4L^2) / 4 (length^2).
 
     Its discriminant is the dimensionless 1 - feasibility_product, with zero
     band ``eps_geom``, so DK and the jointspace test share one formula."""
 
     a: float
-    b: float
     c: float
 
     @property
     def discriminant(self) -> float:
-        return self.b * self.b - 4.0 * self.a * self.c
+        return 1.0 - 4.0 * self.a * self.c
 
 
 class DkSolution(NamedTuple):
@@ -102,7 +101,7 @@ def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
     (ROADMAP item 1).
     """
     a, c = _quadratic(rho, params.L * params.L)
-    return DkQuadratic(a, 1.0, c)
+    return DkQuadratic(a, c)
 
 
 def dk_solve(rho: JointVector, posture: int, params: ManipulatorParams) -> DkSolution:
@@ -125,15 +124,15 @@ def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
     """Zero, one, or two direct solutions, ordered m = -1 then m = +1.
 
     A discriminant within ``eps_geom`` of zero yields the single flat
-    solution (t = -b/2a, posture None).  Joint limits are deliberately not
+    solution (t = -1/2a, posture None).  Joint limits are deliberately not
     applied here; feasibility policy belongs to the jointspace layer, and
     callers wanting the flag can check ``joint_limits_ok(rho)`` themselves.
     """
     a, c = _quadratic(rho, params.L * params.L)
     disc = 1.0 - 4.0 * a * c
     if disc > params.eps_geom:
-        # b = 1 > 0, so -(b + sqrt(disc))/2 has no cancellation; the other
-        # root comes from the product c/a.
+        # t's coefficient 1 is positive, so -(1 + sqrt(disc))/2 has no
+        # cancellation; the other root comes from the product c/a.
         u = -(1.0 + math.sqrt(disc)) / 2.0
         roots = ((-1, u / a), (1, c / u))
     elif disc >= -params.eps_geom:

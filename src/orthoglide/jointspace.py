@@ -78,6 +78,27 @@ def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
     return 1.0 - 4.0 * a * c >= -params.eps_geom and joint_limits_ok(rho, params)
 
 
+def _radius(ex, ey, ez, L, power, sqrt):
+    """The radius t along the unit direction (ex, ey, ez): floats with ``pow`` and
+    ``math.sqrt``, or arrays with ``numpy.float_power`` and ``numpy.sqrt``, which give
+    the same bits.  Both powers call the C library's pow on each value; numpy's ``**``
+    squares by multiplying, which rounds otherwise on about 0.1 % of values."""
+    F = 1.0 / power(ex, 2) + 1.0 / power(ey, 2) + 1.0 / power(ez, 2)
+    return 2.0 * L * sqrt(F / (F - 1.0))
+
+
+def _radius_along(e: tuple[float, float, float], params: ManipulatorParams) -> float:
+    """``boundary_radius`` along the unit vector ``e``."""
+    ex, ey, ez = e
+    if not (ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
+        raise DirectionOnOctantBorder(f"direction {e} has a component below {_MIN_COMPONENT:g}")
+    t = _radius(ex, ey, ez, params.L, pow, math.sqrt)
+    if t < math.inf:
+        return t
+    raise _RadiusOutOfRange(f"L = {params.L!r} is out of range: "
+                            f"the boundary radius along {e} overflows")
+
+
 def boundary_radius(dir: SphericalDirection, params: ManipulatorParams) -> float:
     """Distance from the origin to the boundary surface along ``dir``.
 
@@ -88,22 +109,14 @@ def boundary_radius(dir: SphericalDirection, params: ManipulatorParams) -> float
     positive, or below 1.3e-154, where F overflows.  An overflowing radius
     (L above about 8.5e307) raises a KinematicsError that is also a ValueError.
     """
-    ex, ey, ez = e = dir.unit_vector()
-    if not (ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
-        raise DirectionOnOctantBorder(f"direction {e} has a component below {_MIN_COMPONENT:g}")
-    F = 1.0 / ex ** 2 + 1.0 / ey ** 2 + 1.0 / ez ** 2
-    t = 2.0 * params.L * math.sqrt(F / (F - 1.0))
-    if t < math.inf:
-        return t
-    raise _RadiusOutOfRange(f"L = {params.L!r} is out of range: "
-                            f"the boundary radius along {e} overflows")
+    return _radius_along(dir.unit_vector(), params)
 
 
 def boundary_joint_vector(dir: SphericalDirection, params: ManipulatorParams) -> JointVector:
     """The boundary point itself: ``boundary_radius(dir) * e``."""
-    t = boundary_radius(dir, params)
-    e = dir.unit_vector()
-    return JointVector(t * e[0], t * e[1], t * e[2])
+    ex, ey, ez = e = dir.unit_vector()
+    t = _radius_along(e, params)
+    return JointVector(t * ex, t * ey, t * ez)
 
 
 def boundary_rho_x(

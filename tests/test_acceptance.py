@@ -95,7 +95,7 @@ def test_criterion_04_dk_interior_example():
         assert max(abs(r) for r in leg_residuals(sol.p, rho, PARAMS)) <= 1e-9
     # independent bisection oracle on the quadratic, then through the line map
     q = dk_coefficients(rho, PARAMS)
-    t_lo, t_hi = bisect_quadratic_roots(q.a, q.b, q.c)
+    t_lo, t_hi = bisect_quadratic_roots(q.a, 1.0, q.c)
     p_lo = 0.15 + t_lo / 0.3
     p_hi = 0.15 + t_hi / 0.3
     assert p_lo == pytest.approx(-0.4597, abs=1e-4)

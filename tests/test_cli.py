@@ -75,6 +75,9 @@ def test_negative_values_parse_as_values(capsys, argv, code):
         # 64-bit Linux process can map by default, so it is refused untouched.
         (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "1e-15"], None,
          "--step 1e-15 is too small: 1e+15 steps do not fit in memory"),
+        # Its first array, the 1e14 angles, is 800 TB: refused untouched, as above.
+        (["jointspace", "boundary-sample", "-L", "1", "--grid", "100000000000000"], None,
+         "--grid 100000000000000 is too large: 1e+28 directions do not fit in memory"),
         (["jointspace", "boundary-sample", "-L", "1", "--grid", "0"], None, "--grid must be >= 1"),
         (["volumes", "-L", "1", "--mc", "50"], None, "n_samples must be >= 10000, got 50"),
         (["volumes", "-L", "1", "--mc", "10000", "--seed", "-1"], None,
@@ -481,8 +484,8 @@ def test_boundary_sample_overflowing_radius_is_a_usage_error(capsys, fmt):
 class TestWriters:
     """Reports are exactly what ``json.dumps(report, indent=2)`` and
     ``csv.writer`` write.  ``trajectory`` and ``boundary-sample`` format their
-    long lists themselves, so these pin their writers on the cases each
-    template branches on."""
+    long lists themselves, and every CSV row goes through one line template,
+    so these pin the writers on the cases each template branches on."""
 
     TRAJECTORIES = [
         # infeasible steps: rho null, with error_axis
@@ -518,6 +521,9 @@ class TestWriters:
         ["volumes", "-L", "1.5"],
         ["jointspace", "check", "-L", "1", "-r", "1,1,1"],
     ]
+    #: One flat solution: its null posture is the one field that ``%s`` and
+    #: ``csv.writer`` would write differently if it were passed as it is.
+    FLAT_DK = ["dk", "-L", "1", "-r", "1.224744871391589,1.224744871391589,1.224744871391589"]
 
     def argvs(self, fmt):
         return ([["trajectory", *a, fmt] for a in self.TRAJECTORIES]
@@ -536,11 +542,33 @@ class TestWriters:
         assert any(r["rho"] is not None and math.isinf(r["rho"][0]) for r in records)
 
     def test_csv_is_csv_writer_output(self, capsys):
-        for argv in self.argvs("--csv"):
+        for argv in self.argvs("--csv") + [[*a, "--csv"] for a in [*self.OTHERS, self.FLAT_DK]]:
             _, out, _ = run(capsys, argv)
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
             assert out == buf.getvalue(), argv
+
+    def test_short_reports_are_csv_writer_of_the_json_values(self, capsys):
+        """Each short report's CSV rows are ``csv.writer`` applied to the
+        typed values its JSON report holds, a flat ``None`` posture too."""
+        fields = {
+            "ik": lambda s: (s["branch"], *s["rho"], s["joint_limits_ok"]),
+            "dk": lambda s: (s["posture"], s["t"], *s["p"], s["plane_eval"]),
+        }
+        for argv in self.OTHERS + [self.FLAT_DK]:
+            _, report = run_json(capsys, argv)
+            _, out, _ = run(capsys, [*argv, "--csv"])
+            if argv[0] in fields:
+                rows = [fields[argv[0]](s) for s in report["solutions"]]
+            elif argv[0] == "volumes":
+                rows = [("closed", k, v, "") for k, v in report["closed_form"].items()]
+            else:
+                rows = [(report["product"], report["dk_solvable"], report["joint_limits_ok"],
+                         report["feasible"])]
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([out.splitlines()[0].split(","), *rows])
+            assert out == buf.getvalue(), argv
+        assert report["solutions"][0]["posture"] is None and out.splitlines()[1][0] == ","
 
     def test_csv_is_csv_writer_of_the_json_values(self, capsys):
         """The long lists' CSV rows are ``csv.writer`` applied to the typed

@@ -42,6 +42,8 @@ COMMANDS = [
     ["dk", "-L", "1", "-r", "3,3,3"],
     ["dk", "-L", "1", "-r", "3,3,3", "-m", "+1"],
     ["dk", "-L", "7", "-r", "2,9,13", "--eps-branch", "1e-6"],
+    # sqrt(1.5) (1, 1, 1): one flat solution, whose posture is null, an empty CSV field
+    ["dk", "-L", "1", "-r", "1.224744871391589,1.224744871391589,1.224744871391589"],
     ["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.7,0.7,0.7", "--step", "0.01"],
     ["volumes", "-L", "1.5"],
     ["volumes", "-L", "1e-3"],
@@ -120,6 +122,8 @@ GOLDEN = {
     "dk -L 1 -r 3,3,3 -m +1 --csv": "fc153f7266af9c29",
     "dk -L 7 -r 2,9,13 --eps-branch 1e-6 --json": "cb2dc0e3081bab4c",
     "dk -L 7 -r 2,9,13 --eps-branch 1e-6 --csv": "e744915a0cb5f357",
+    "dk -L 1 -r 1.224744871391589,1.224744871391589,1.224744871391589 --json": "39068bdefde857f0",
+    "dk -L 1 -r 1.224744871391589,1.224744871391589,1.224744871391589 --csv": "e08c5facaacb95f1",
     "trajectory -L 1 -w 0,0,0 -w 0.7,0.7,0.7 --step 0.01 --json": "260bbfcca27ce802",
     "trajectory -L 1 -w 0,0,0 -w 0.7,0.7,0.7 --step 0.01 --csv": "19afe9fdbe453356",
     "volumes -L 1.5 --json": "4a0bfcdfc3f6adcf",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -144,6 +145,15 @@ class TestJointLimits:
         params = ManipulatorParams(L=3.0)
         assert joint_limits_ok(JointVector(6.0, 6.0, 6.0), params)
         assert not joint_limits_ok(JointVector(6.1, 6.0, 6.0), params)
+
+    def test_columns_of_an_array_are_the_float_answers(self, unit_params):
+        """The rows of a 3 x n array, as ``trajectory`` passes its joints,
+        give one bool per column, the same as each column's floats do."""
+        edges = [0.0, -0.0, 5e-324, 1.0, 2.0, math.nextafter(2.0, 3.0), -1.0, math.inf, math.nan]
+        columns = [(a, b, c) for a in edges for b in (1.0, math.nan, 2.5) for c in edges]
+        got = joint_limits_ok(np.array(columns).T, unit_params)
+        assert got.tolist() == [joint_limits_ok(JointVector(*c), unit_params) for c in columns]
+        assert True in got.tolist() and False in got.tolist()
 
 
 class TestLegAngles:

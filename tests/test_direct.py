@@ -49,11 +49,11 @@ DK_ENTRY_POINTS = (dk_both, _dk_solve_plus, dk_feasible, feasibility_product)
 class TestCoefficients:
     def test_home_joints(self, unit_params):
         q = dk_coefficients(JointVector(1, 1, 1), unit_params)
-        assert (q.a, q.b, q.c) == (3.0, 1.0, -0.25)
+        assert (q.a, q.c) == (3.0, -0.25)
 
     def test_flat_joints_zero_discriminant(self, unit_params):
         q = dk_coefficients(RHO_FLAT, unit_params)
-        assert abs(q.discriminant) <= unit_params.eps_geom * q.b * q.b
+        assert abs(q.discriminant) <= unit_params.eps_geom
 
     def test_all_max_corner_negative_discriminant(self, unit_params):
         q = dk_coefficients(JointVector(2, 2, 2), unit_params)
@@ -86,7 +86,7 @@ class TestSolve:
 
     def test_small_joints_roots_match_bisection_oracle(self, unit_params):
         q = dk_coefficients(RHO_SMALL, unit_params)
-        t_lo, t_hi = bisect_quadratic_roots(q.a, q.b, q.c)
+        t_lo, t_hi = bisect_quadratic_roots(q.a, 1.0, q.c)
         lo = dk_solve(RHO_SMALL, -1, unit_params)
         hi = dk_solve(RHO_SMALL, 1, unit_params)
         assert lo.t_value == pytest.approx(t_lo, abs=1e-12)
@@ -244,7 +244,7 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         for rho in sample_feasible_joints(rng, unit_params, 100):
             q = dk_coefficients(rho, unit_params)
-            t0 = -q.b / (2.0 * q.a)
+            t0 = -1.0 / (2.0 * q.a)
             assert abs(plane_eval(equidistant_point(rho, t0), rho)) <= 1e-12
 
     def test_solutions_share_equidistant_line(self, unit_params):

@@ -18,6 +18,7 @@ steps at once, on arrays, and is held to the same bits.
 import itertools
 import json
 import math
+import platform
 import random
 import warnings
 
@@ -38,6 +39,7 @@ from orthoglide import (
     SphericalDirection,
     WorkspaceRegion,
     boundary_joint_vector,
+    boundary_radius,
     branch_of,
     classify_point,
     dk_both,
@@ -53,6 +55,7 @@ from orthoglide import (
     posture_of,
 )
 from orthoglide.cli import main
+from orthoglide.jointspace import _radius
 from orthoglide.workspace import _REGIONS, _region_code
 
 from oracles import early_return_region
@@ -214,10 +217,10 @@ class TestSharedFormulas:
             q = dk_coefficients(rho, params)
             disc = q.discriminant
             if disc > params.eps_geom:
-                u = -(q.b + math.sqrt(disc)) / 2.0
+                u = -(1.0 + math.sqrt(disc)) / 2.0
                 roots = [(-1, u / q.a), (1, q.c / u)]
             elif disc >= -params.eps_geom:
-                roots = [(None, -q.b / (2.0 * q.a))]
+                roots = [(None, -1.0 / (2.0 * q.a))]
             else:
                 roots = []
             want = [DkSolution(equidistant_point(rho, t), m, t) for m, t in roots]
@@ -346,3 +349,46 @@ def test_trajectory_overflow_is_silent(capsys):
     assert any(math.isinf(x * x + y * y + z * z) for x, y, z in (rec["p"] for rec in records))
     for rec in records:
         assert rec["region"] == classify_point(CartesianPoint(*rec["p"]), params).value
+
+
+#: Grid 21 holds a direction whose radius changes if its squares are taken by
+#: multiplying, as numpy's ``**`` does, rather than by the C library's pow, as
+#: Python's ``**`` does (with glibc's pow; see the test after this one).
+GRIDS = (1, 2, 3, 7, 21, 40)
+
+
+@pytest.mark.parametrize("fmt", ["--csv", "--json"])
+@pytest.mark.parametrize("L", [1e-300, 1e-3, 1.0, 2.5, 7e4, 1e300])
+def test_boundary_sample_rows_are_the_library_answers(capsys, L, fmt):
+    """Every ``boundary-sample`` row, computed by column, is ``(phi, theta,
+    boundary_radius(d), *boundary_joint_vector(d))`` for the direction d at
+    the centre ``(k + 0.5) * (pi / 2) / n`` of its grid cell."""
+    params = ManipulatorParams(L)
+    for n in GRIDS:
+        main(["jointspace", "boundary-sample", "-L", repr(L), "--grid", str(n), fmt])
+        out = capsys.readouterr().out
+        if fmt == "--csv":
+            rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        else:
+            rows = [list(row.values()) for row in json.loads(out)["rows"]]
+        angles = [(k + 0.5) * (math.pi / 2.0) / n for k in range(n)]
+        want = [(*d, boundary_radius(d, params), *boundary_joint_vector(d, params))
+                for d in itertools.starmap(SphericalDirection, itertools.product(angles, angles))]
+        assert [bits(row) for row in rows] == [bits(row) for row in want]
+
+
+def test_boundary_radius_is_one_formula_on_floats_and_arrays():
+    """``_radius`` on grid 21's columns, as ``boundary-sample`` calls it, gives
+    ``boundary_radius``'s bits on every direction.  With glibc, squaring by
+    multiplying instead of by pow would change one of them."""
+    n, params = 21, ManipulatorParams(1.0)
+    angles = [(k + 0.5) * (math.pi / 2.0) / n for k in range(n)]
+    cos, sin = np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
+    e = np.multiply.outer(cos, cos), np.multiply.outer(cos, sin), sin[:, None]
+    t = _radius(*e, params.L, np.float_power, np.sqrt)
+    want = [boundary_radius(SphericalDirection(a, b), params)
+            for a, b in itertools.product(angles, angles)]
+    assert bits(t.ravel()) == bits(want)
+    multiplied = _radius(*e, params.L, lambda v, k: v ** k, np.sqrt)
+    if platform.libc_ver()[0] == "glibc":
+        assert np.count_nonzero(t != multiplied) == 1
