@@ -1,5 +1,9 @@
+import functools
 import itertools
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +197,22 @@ class TestVolumes:
             workspace_volumes(ManipulatorParams(L=L))
 
 
+@functools.lru_cache(maxsize=None)
+def _per_row_hits(L, n, seed):
+    """C, S and G hits of ``default_rng(seed)``'s first n cube samples,
+    counted one row at a time with the scalar membership formulas."""
+    L2 = L * L
+    c = s = g = 0
+    for x, y, z in np.random.default_rng(seed).uniform(-L, L, size=(n, 3)).tolist():
+        x2, y2, z2 = x * x, y * y, z * z
+        in_c = x2 + y2 <= L2 and x2 + z2 <= L2 and y2 + z2 <= L2
+        r2 = x2 + y2 + z2
+        c += in_c
+        s += r2 < L2
+        g += in_c and r2 > L2 and x > 0.0 and y > 0.0 and z > 0.0
+    return c, s, g
+
+
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self, unit_params):
         a = monte_carlo_volumes(unit_params, 10_000, seed=42)
@@ -234,19 +254,98 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("L,n,seed", [(0.37, 50_000, 7), (17.3, 10_000, 2**31 + 5)])
     def test_hit_counts_match_per_row_reference(self, L, n, seed):
-        """Redraw the kernel's stream and count it one row at a time with
-        the scalar membership formulas."""
-        L2 = L * L
-        c = s = g = 0
-        for x, y, z in np.random.default_rng(seed).uniform(-L, L, size=(n, 3)).tolist():
-            x2, y2, z2 = x * x, y * y, z * z
-            in_c = x2 + y2 <= L2 and x2 + z2 <= L2 and y2 + z2 <= L2
-            r2 = x2 + y2 + z2
-            c += in_c
-            s += r2 < L2
-            g += in_c and r2 > L2 and x > 0.0 and y > 0.0 and z > 0.0
         mc = monte_carlo_volumes(ManipulatorParams(L=L), n, seed)
-        assert (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits) == (c, s, g)
+        assert (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits) == _per_row_hits(L, n, seed)
+
+    @pytest.mark.parametrize("n", [10_000, 65_537, 1_000_003])
+    @pytest.mark.parametrize("block", [1024, 1 << 14])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_hits_independent_of_cpus_and_block(self, monkeypatch, cpus, block, n):
+        """Any CPU count splits the rows into min(cpus, blocks) contiguous
+        ranges of whole blocks, and the hits are the per-row reference's."""
+        import orthoglide.workspace as ws
+
+        ranges = []
+        real = ws._mc_hits
+
+        def recorded(ss, L, start, stop):
+            ranges.append((start, stop))
+            return real(ss, L, start, stop)
+
+        monkeypatch.setattr(ws, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ws, "_MC_BLOCK", block)
+        monkeypatch.setattr(ws, "_mc_hits", recorded)
+        mc = monte_carlo_volumes(ManipulatorParams(L=0.37), n, 7)
+        assert (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits) == _per_row_hits(0.37, n, 7)
+        assert all(type(h) is int for h in (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits))
+        ranges.sort()
+        assert len(ranges) == min(cpus, -(-n // block))
+        assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(a % block == 0 for a, _ in ranges)
+
+    def test_numpy_stream_assumptions(self):
+        """The kernel's two assumptions about numpy: ``random(out=)`` scaled
+        by 2L and shifted by -L is ``uniform(-L, L)`` bit for bit, and a
+        PCG64 advanced by 3k draws yields ``default_rng``'s rows k: on."""
+        Ls = 10.0 ** np.random.default_rng(5).uniform(-100.0, math.log10(3e102), 400)
+        for i, L in enumerate(Ls.tolist()):
+            want = np.random.default_rng(i).uniform(-L, L, size=(257, 3))
+            got = np.empty((257, 3))
+            np.random.default_rng(i).random(out=got)
+            got *= 2.0 * L
+            got += -L
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), L
+        for s in (0, 7, 2**31 + 5, 2**64 + 3):
+            rows = np.random.default_rng(s).random((1000, 3))
+            for k in (0, 1, 17, 999):
+                bits = np.random.PCG64(np.random.SeedSequence(s))
+                bits.advance(3 * k)
+                tail = np.random.Generator(bits).random((1000 - k, 3))
+                assert np.array_equal(tail.view(np.int64), rows[k:].view(np.int64)), (s, k)
+
+    @pytest.mark.parametrize("failing", ["first range", "later ranges"])
+    def test_range_error_reaches_caller_and_threads_end(self, unit_params, monkeypatch, failing):
+        import orthoglide.workspace as ws
+
+        raised = []
+        real = ws._mc_hits
+
+        def hits(ss, L, start, stop):
+            if (start > 0) == (failing == "later ranges"):
+                raised.append(MemoryError(f"range at {start}"))
+                raise raised[-1]
+            time.sleep(0.05)  # still running when a first range fails
+            return real(ss, L, start, stop)
+
+        monkeypatch.setattr(ws, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(ws, "_mc_hits", hits)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as err:
+            monte_carlo_volumes(unit_params, 100_000, seed=1)
+        assert any(err.value is exc for exc in raised)
+        assert threading.active_count() == before
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        import orthoglide.workspace as ws
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert ws._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ws._usable_cpus() == 1
+
+    def test_negative_seed_raises_before_any_thread(self, unit_params, monkeypatch):
+        import orthoglide.workspace as ws
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a range started")
+
+        monkeypatch.setattr(ws, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(ws, "_mc_hits", unexpected)
+        monkeypatch.setattr(threading, "Thread", unexpected)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            monte_carlo_volumes(unit_params, 100_000, seed=-1)
 
     def test_too_few_samples_rejected(self, unit_params):
         with pytest.raises(ValueError):
