@@ -45,11 +45,9 @@ from .core import (
     leg_residuals,
 )
 from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
-from .inverse import _branch_joints, _radicands, _real, _singular_axes
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
-from .jointspace import SphericalDirection, _radius, boundary_radius, dk_feasible
-from .jointspace import feasibility_product
-from .workspace import _REGIONS, _region_code, classify_point
+from .jointspace import _boundary_grid, dk_feasible, feasibility_product
+from .workspace import _REGIONS, _path_columns, classify_point
 from .workspace import monte_carlo_volumes, workspace_volumes
 
 EXIT_OK = 0
@@ -317,8 +315,6 @@ _TRAJECTORY_HEADER = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
-    import numpy as np
-
     params = args.params
     wps = args.waypoints
     if len(wps) < 2:
@@ -335,77 +331,47 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise ValueError(f"--step {args.step!r} is too small: one segment needs "
                          f"{max(counts):.3g} steps, more than 2**53")
     branch = args.branch
-    abort = args.policy == "abort"
     report = _base_report("trajectory", params, {
         "waypoints": [list(w) for w in wps],
         "step": args.step,
         "branch": branch.label,
         "policy": args.policy,
     })
-    L = params.L
-    tol = params.eps_geom * L * L
-    # is_serial_singular, ik_branch and joint_limits_ok of every step at once.
-    with np.errstate(all="ignore"):
-        # After the first waypoint, each segment's a + (i/n)(b - a), i = 1..n.
-        try:
-            a, b = np.array(wps[:-1]).T, np.array(wps[1:]).T
-            f = np.concatenate([np.arange(1, n + 1) / n for n in counts])
-            points = np.hstack([a[:, :1],
-                                np.repeat(a, counts, 1) + f * np.repeat(b - a, counts, 1)])
-        except MemoryError:  # a step count the allocator refuses outright
-            raise ValueError(f"--step {args.step!r} is too small: {1 + sum(counts):.3g} steps "
-                             "do not fit in memory") from None
-        rads = np.array(_radicands(points, L))
-        flags = _singular_axes(rads, tol)
-        below = rads < -tol
-        chords = np.where(rads > 0.0, np.sqrt(rads), 0.0)
-        rho = np.array(_branch_joints(CartesianPoint(*points), chords, branch))
-        ok = ~below.any(0) & joint_limits_ok(rho, params)
-        halted = flags.x | flags.y | flags.z | ~ok
-        nan = np.isnan(rads.sum(0))
-    # The abort policy stops at the first serially singular or failed step.
-    n = int(halted.argmax()) + 1 if abort and halted.any() else len(ok)
-    if nan[:n].any():  # RadicandNegative for the first NaN step, as in the scalar path
-        _real(CartesianPoint(*points[:, nan.argmax()].tolist()), rads[:, nan.argmax()].tolist())
-    codes = (flags.x + 2 * flags.y + 4 * flags.z)[:n]
-    failures = np.flatnonzero(~ok[:n])
-    infeasible = below[:, :n].any(0)
-    bad = np.flatnonzero(infeasible).tolist()
-    aborted_at = n - 1 if abort and halted[n - 1] else None
+    try:
+        points, rho, ok, codes, axis, region, aborted_at = _path_columns(
+            wps, counts, branch, params, args.policy == "abort")
+    except MemoryError:  # a step count the allocator refuses outright
+        raise ValueError(f"--step {args.step!r} is too small: {1 + sum(counts):.3g} steps "
+                         "do not fit in memory") from None
+    n = len(ok)
+    failures = (~ok).nonzero()[0]
+    bad = (axis >= 0).nonzero()[0].tolist()
     report.update(records=[], summary={  # _emit writes the records in their place
         "feasible": not failures.size and aborted_at is None,
         "first_failure_index": int(failures[0]) if failures.size else None,
         "aborted_at": aborted_at,
         "n_steps": n,
-        "n_singular_steps": int(np.count_nonzero(codes)),
+        "n_singular_steps": int((codes > 0).sum()),
         "n_limit_violations": failures.size - len(bad),
         "n_infeasible_steps": len(bad),
     })
     # The reported steps, written column-wise; an infeasible step has no joints.
     spell, region_text = (repr, _REGION_CSV) if args.fmt == "csv" else (json.dumps, _REGION_JSON)
-    x, y, z = points[:, :n].tolist()
-    # classify_point of every reported step, with math.hypot's pairwise radii as there.
-    c_xy, c_xz, c_yz = (np.fromiter(map(math.hypot, u, v), float, n)
-                        for u, v in ((x, y), (x, z), (y, z)))
-    px, py, pz = points[:, :n]
-    with np.errstate(all="ignore"):  # r is inf where x*x + y*y + z*z overflows
-        r = np.sqrt(px * px + py * py + pz * pz)
-        region = _region_code(px, py, pz, c_xy, c_xz, c_yz, r, L, params.eps_geom * L)
     regions = [region_text[k] for k in region.tolist()]
-    x, y, z, *rho = (_float_texts(c, spell) for c in (*points[:, :n], *rho[:, :n]))
-    codes, ok = codes.tolist(), ok[:n].tolist()
+    x, y, z, *rho = (_float_texts(c, spell) for c in (*points, *rho))
+    codes, ok = codes.tolist(), ok.tolist()
     rows = records = ()
     if args.fmt == "csv":
         for k in bad:
             rho[0][k] = rho[1][k] = rho[2][k] = ""
         rows = zip(range(n), x, y, z, *rho, repeat(branch.label), regions,
-                   map(_AXES_CSV.__getitem__, codes), ok, infeasible.tolist())
+                   map(_AXES_CSV.__getitem__, codes), ok, (axis >= 0).tolist())
     else:
         label = _json_str(branch.label)
         axes = [_AXES_JSON[c] for c in codes]
         records = list(map(_RECORD.__mod__, zip(range(n), x, y, z, repeat(label), regions, axes,
                                                  *rho, map(("false", "true").__getitem__, ok))))
-        for k, a in zip(bad, below[:, bad].argmax(0).tolist()):
+        for k, a in zip(bad, axis[bad].tolist()):
             records[k] = _RECORD_INFEASIBLE[a] % (k, x[k], y[k], z[k], label, regions[k], axes[k])
     _emit(report, args.fmt, _TRAJECTORY_HEADER, rows, "records", records)
     return EXIT_OK if report["summary"]["feasible"] else EXIT_INFEASIBLE
@@ -454,26 +420,16 @@ _BOUNDARY_ROW = "    " + _template(dict.fromkeys(_BOUNDARY_HEADER, "%s"), 2)
 
 
 def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
-    import numpy as np
-
     params = args.params
     n = args.grid
     if n < 1:
         raise ValueError("--grid must be >= 1")
     report = _base_report("jointspace-boundary-sample", params, {"grid": n})
-    try:  # direction (i, j) is (angles[i], angles[j]), so unit_vector's products are outer ones
-        angles = (np.arange(n) + 0.5) * (math.pi / 2.0) / n
-        cos, sin = (np.fromiter(map(f, angles), float, n) for f in (math.cos, math.sin))
-        e = np.multiply.outer(cos, cos), np.multiply.outer(cos, sin), sin[:, None]
-        with np.errstate(over="ignore"):
-            t = _radius(*e, params.L, np.float_power, np.sqrt)
-        columns = (t, *(t * c for c in e))
+    try:
+        angles, columns = _boundary_grid(n, params)
     except MemoryError:  # a grid the allocator refuses outright
         raise ValueError(f"--grid {n} is too large: {n * n:.3g} directions "
                          "do not fit in memory") from None
-    if t.max() == math.inf:  # the typed overflow, for the first direction in row order
-        i, j = divmod(int(t.argmax()), n)
-        boundary_radius(SphericalDirection(angles.item(i), angles.item(j)), params)
     # Written one grid line at a time, so only that line's texts are kept.
     spell = repr if args.fmt == "csv" else json.dumps
     angle = _float_texts(angles, spell)

@@ -55,11 +55,13 @@ class SphericalDirection(NamedTuple):
 
     @classmethod
     def from_vector(cls, x: float, y: float, z: float) -> "SphericalDirection":
-        """Direction of a vector with strictly positive components."""
-        if min(x, y, z) <= 0:
-            raise ValueError(f"vector must have positive components, got {(x, y, z)}")
-        n = math.sqrt(x * x + y * y + z * z)
-        return cls(phi=math.asin(min(z / n, 1.0)), theta=math.atan2(y, x))
+        """Direction of a vector with finite, strictly positive components."""
+        if not (0 < x < math.inf and 0 < y < math.inf and 0 < z < math.inf):
+            raise ValueError(f"vector must have finite positive components, got {(x, y, z)}")
+        # Scaled by a power of two, which is exact, so that no square over- or underflows.
+        u, v, w = (math.ldexp(c, -math.frexp(max(x, y, z))[1]) for c in (x, y, z))
+        n = math.sqrt(u * u + v * v + w * w)
+        return cls(phi=math.asin(min(w / n, 1.0)), theta=math.atan2(y, x))
 
 
 def feasibility_product(rho: JointVector, params: ManipulatorParams) -> float:
@@ -112,6 +114,24 @@ def boundary_radius(dir: SphericalDirection, params: ManipulatorParams) -> float
     return _radius_along(dir.unit_vector(), params)
 
 
+def _boundary_grid(n: int, params: ManipulatorParams) -> tuple:
+    """The angles ``(k + 0.5) * (pi / 2) / n``, and at [i, j] of four n x n arrays
+    ``boundary_radius`` and ``boundary_joint_vector`` of (angles[i], angles[j]), bit for
+    bit; raises as ``boundary_radius`` does for the first direction, in row order, whose
+    radius overflows.  ``unit_vector``'s products are outer ones of the n cosines and sines."""
+    import numpy as np
+
+    angles = (np.arange(n) + 0.5) * (math.pi / 2.0) / n
+    cos, sin = (np.fromiter(map(f, angles), float, n) for f in (math.cos, math.sin))
+    e = np.multiply.outer(cos, cos), np.multiply.outer(cos, sin), sin[:, None]
+    with np.errstate(over="ignore"):
+        t = _radius(*e, params.L, np.float_power, np.sqrt)
+    if t.max() == math.inf:
+        i, j = divmod(int(t.argmax()), n)
+        boundary_radius(SphericalDirection(angles.item(i), angles.item(j)), params)
+    return angles, (t, *(t * c for c in e))
+
+
 def boundary_joint_vector(dir: SphericalDirection, params: ManipulatorParams) -> JointVector:
     """The boundary point itself: ``boundary_radius(dir) * e``."""
     ex, ey, ez = e = dir.unit_vector()
@@ -129,7 +149,7 @@ def boundary_rho_x(
     underflows before the answer.  The roots multiply to e/d and add to -e, so one
     is positive exactly when e < 0; empty means the line never crosses the surface.
     """
-    if rho_y <= 0 or rho_z <= 0:
+    if not (rho_y > 0 and rho_z > 0):
         raise ValueError(f"rho_y and rho_z must be positive, got {(rho_y, rho_z)}")
     lo, hi = sorted((rho_y, rho_z))
     m, M = lo / params.L, hi / params.L

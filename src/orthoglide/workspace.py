@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CartesianPoint, ManipulatorParams, VolumeOutOfRange
-from .inverse import _radicands, _real
+from .core import Branch, CartesianPoint, ManipulatorParams, VolumeOutOfRange, joint_limits_ok
+from .inverse import _branch_joints, _radicands, _real, _singular_axes
 
 
 class WorkspaceRegion(Enum):
@@ -104,6 +104,44 @@ def _region_code(x, y, z, c_xy, c_xz, c_yz, r, L: float, band: float):
              & (abs(c_yz - L) > band) & (abs(x) > band) & (abs(y) > band) & (abs(z) > band))
     octant = (x > 0) & (y > 0) & (z > 0)
     return in_c + 2 * (in_c & (d < -band)) + (in_c & clear) * (2 * octant - 1)
+
+
+def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, abort: bool):
+    """The trajectory check of the path through ``waypoints``, ``counts[k]`` equal steps
+    along segment k, as columns holding the scalar answers bit for bit: the points,
+    ``ik_branch``'s joints, their ``joint_limits_ok`` (False where it raises),
+    ``is_serial_singular`` as x + 2y + 4z, the axis ``ik_branch`` raises for (else -1)
+    and ``classify_point``'s index into ``_REGIONS``; then the index ``abort`` stopped at,
+    or None.  With ``abort`` the columns end at the first step that is singular or fails.
+    Raises RadicandNegative for the first step in them with a NaN radicand."""
+    L, band = params.L, params.eps_geom * params.L
+    # Steps that overflow get inf and NaN columns, which are reported or raised on.
+    with np.errstate(all="ignore"):
+        # After the first waypoint, each segment's a + (i/n)(b - a), i = 1..n.
+        a, b = np.array(waypoints[:-1]).T, np.array(waypoints[1:]).T
+        f = np.concatenate([np.arange(1, n + 1) / n for n in counts])
+        points = np.hstack([a[:, :1], np.repeat(a, counts, 1) + f * np.repeat(b - a, counts, 1)])
+        rads = np.array(_radicands(points, L))
+        flags = _singular_axes(rads, band * L)
+        codes = flags.x + 2 * flags.y + 4 * flags.z
+        below = rads < -band * L
+        chords = np.where(rads > 0.0, np.sqrt(rads), 0.0)
+        rho = np.array(_branch_joints(CartesianPoint(*points), chords, branch))
+        ok = ~below.any(0) & joint_limits_ok(rho, params)
+        halted = (codes > 0) | ~ok
+        n = int(halted.argmax()) + 1 if abort and halted.any() else len(ok)
+        nan = np.isnan(rads[:, :n].sum(0))
+        if nan.any():
+            classify_point(CartesianPoint(*points[:, nan.argmax()].tolist()), params)
+        # The radii from math.hypot, as classify_point's: numpy's hypot rounds otherwise.
+        xs, ys, zs = points[:, :n].tolist()
+        c_xy, c_xz, c_yz = (np.fromiter(map(math.hypot, u, v), float, n)
+                            for u, v in ((xs, ys), (xs, zs), (ys, zs)))
+        x, y, z = points[:, :n]
+        region = _region_code(x, y, z, c_xy, c_xz, c_yz, np.sqrt(x * x + y * y + z * z), L, band)
+    axis = np.where(below.any(0), below.argmax(0), -1)[:n]
+    aborted_at = n - 1 if abort and halted[n - 1] else None
+    return points[:, :n], rho[:, :n], ok[:n], codes[:n], axis, region, aborted_at
 
 
 # ---------------------------------------------------------------------------

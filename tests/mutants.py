@@ -1,0 +1,164 @@
+"""Mutants that the tests are expected to kill, re-checked on demand.
+
+Each entry names a file, an exact snippet that must occur in it once, the
+snippet's replacement, and the pytest node IDs expected to fail with the
+replacement in place.  An entry with a ``survives`` reason is an equivalent
+mutant: no test can kill it, and the reason says why.
+
+    python tests/mutants.py
+
+copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary directory,
+checks that the listed nodes pass there unmutated, then applies one entry at a
+time and runs only its nodes.  It exits 1 if a snippet no longer occurs exactly
+once, if a mutant survives its nodes, or if an expected survivor is killed;
+then the registry is updated along with the code, not dropped.  pytest does not
+collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str
+    snippet: str
+    replacement: str
+    nodes: tuple[str, ...]
+    survives: str | None = None
+
+
+CLI = "src/orthoglide/cli.py"
+JOINTSPACE = "src/orthoglide/jointspace.py"
+WORKSPACE = "src/orthoglide/workspace.py"
+
+SHARED = "tests/test_shared_formulas.py"
+RECORDS = (f"{SHARED}::TestSharedFormulas::test_trajectory_records_are_the_library_answers",)
+REGION_EDGES = (f"{SHARED}::test_region_formula_makes_the_early_return_decisions",)
+GRID = (f"{SHARED}::test_boundary_sample_rows_are_the_library_answers",)
+TRAJECTORY = "tests/test_cli.py::TestTrajectoryCommand"
+SUMMARY = (f"{TRAJECTORY}::test_summary", f"{TRAJECTORY}::test_abort_policy_truncates")
+NAN_STEP = (f"{TRAJECTORY}::test_overflowing_radicands_stop_or_raise_without_warnings",)
+PATH_EDGES = ("tests/test_workspace.py::test_path_regions_at_the_region_edges",)
+FLOAT_TEXTS = ("tests/test_cli.py::TestFloatTexts",)
+SHORT_CSV = ("tests/test_cli.py::TestWriters"
+             "::test_short_reports_are_csv_writer_of_the_json_values",)
+USAGE = ("tests/test_cli.py::test_usage_error_message",)
+MC = "tests/test_workspace.py::TestMonteCarlo"
+MC_RANGES = (f"{MC}::test_hits_independent_of_cpus_and_block",)
+MC_ERRORS = (f"{MC}::test_range_error_reaches_caller_and_threads_end",)
+FROM_VECTOR = ("tests/test_jointspace.py::TestFromVector",)
+RHO_X = ("tests/test_jointspace.py::TestBoundaryRhoX::test_nonpositive_slice_rejected",)
+
+MUTANTS = [
+    # workspace._path_columns, the trajectory's column pass
+    Mutant(WORKSPACE, "below = rads < -band * L", "below = rads <= -band * L", RECORDS),
+    Mutant(WORKSPACE, "n = int(halted.argmax()) + 1", "n = int(halted.argmax())", SUMMARY),
+    Mutant(WORKSPACE, "n = int(halted.argmax()) + 1", "n = int(halted.argmax()) + 2", SUMMARY),
+    Mutant(WORKSPACE, "np.isnan(rads[:, :n].sum(0))", "np.isnan(rads.sum(0))", NAN_STEP),
+    Mutant(WORKSPACE, "np.isnan(rads[:, :n].sum(0))", "np.isnan(rads[:, :n - 1].sum(0))",
+           NAN_STEP),
+    Mutant(WORKSPACE, "map(math.hypot, u, v)", "map(np.hypot, u, v)", PATH_EDGES),
+    # jointspace._boundary_grid: numpy's ** squares by multiplying, not by pow
+    Mutant(JOINTSPACE, "_radius(*e, params.L, np.float_power, np.sqrt)",
+           "_radius(*e, params.L, lambda v, k: v ** k, np.sqrt)", GRID),
+    # workspace._region_code
+    Mutant(WORKSPACE, " & (abs(x) > band) & (abs(y) > band) & (abs(z) > band))", ")",
+           REGION_EDGES),
+    Mutant(WORKSPACE, "(abs(c_xy - L) > band) & (abs(c_xz - L) > band)\n"
+                      "             & (abs(c_yz - L) > band) & ", "", REGION_EDGES),
+    Mutant(WORKSPACE, "clear = ((d > band) & ", "clear = (", REGION_EDGES),
+    Mutant(WORKSPACE, "* (2 * octant - 1)", "* 1", REGION_EDGES),
+    Mutant(WORKSPACE, "2 * (in_c & (d < -band))", "2 * (in_c & (d < 0))", REGION_EDGES),
+    Mutant(WORKSPACE, "2 * (in_c & (d < -band))", "2 * (d < -band)", REGION_EDGES),
+    Mutant(WORKSPACE, "in_c = (c_xy <= out)", "in_c = (c_xy < out)", REGION_EDGES),
+    Mutant(WORKSPACE, "(c_yz <= out)", "(c_yz <= L)", REGION_EDGES),
+    Mutant(WORKSPACE, "(d < -band)", "(d <= -band)", REGION_EDGES),
+    Mutant(WORKSPACE, "clear = ((d > band)", "clear = ((d >= band)", REGION_EDGES),
+    Mutant(WORKSPACE, "(abs(c_xz - L) > band)", "(abs(c_xz - L) >= band)", REGION_EDGES),
+    Mutant(WORKSPACE, "(abs(y) > band)", "(abs(y) >= band)", REGION_EDGES),
+    Mutant(WORKSPACE, "octant = (x > 0)", "octant = (x >= 0)", REGION_EDGES,
+           survives="the octant sign counts only where clear holds, and clear needs "
+                    "|x| > band >= 0, which excludes x = 0"),
+    # cli: the float writer's orjson range, the flat posture in CSV, the memory errors
+    Mutant(CLI, "(1e-4 <= size)", "(1e-5 <= size)", FLOAT_TEXTS),
+    Mutant(CLI, "(1e-4 <= size)", "(1e-4 < size)", FLOAT_TEXTS,
+           survives="at exactly 1e-4 repr, json.dumps and orjson all write 0.0001"),
+    Mutant(CLI, "(size < 1e16)", "(size <= 1e16)", FLOAT_TEXTS),
+    Mutant(CLI, 'd["posture"] or ""', 'd["posture"]', SHORT_CSV),
+    Mutant(CLI, "except MemoryError:  # a step", "except OverflowError:  # a step", USAGE),
+    Mutant(CLI, "except MemoryError:  # a grid", "except OverflowError:  # a grid", USAGE),
+    # workspace.monte_carlo_volumes: per-CPU PCG64 ranges in threads
+    Mutant(WORKSPACE, ".advance(3 * start)", ".advance(3 * start + 3)", MC_RANGES),
+    Mutant(WORKSPACE, "            t.join()", "            pass", MC_RANGES + MC_ERRORS),
+    Mutant(WORKSPACE, "            raise r", "            pass", MC_ERRORS),
+    # SphericalDirection.from_vector and boundary_rho_x
+    Mutant(JOINTSPACE, "0 < x < math.inf and", "0 < x and", FROM_VECTOR),
+    Mutant(JOINTSPACE, "(math.ldexp(c, -math.frexp(max(x, y, z))[1]) for c in (x, y, z))",
+           "(x, y, z)", FROM_VECTOR),
+    Mutant(JOINTSPACE, "if not (rho_y > 0 and rho_z > 0):", "if rho_y <= 0 or rho_z <= 0:",
+           RHO_X),
+]
+
+
+def run(copy: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in ``copy``, importing the package from the copy."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], cwd=copy, env=env, capture_output=True,
+                          text=True)
+
+
+def pytest(copy: Path, nodes) -> int:
+    return run(copy, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes).returncode
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        where = run(copy, "-c", "import orthoglide; print(orthoglide.__file__)").stdout.strip()
+        if not Path(where).resolve().is_relative_to(copy.resolve()):
+            print(f"orthoglide is imported from {where!r}, not from the copy")
+            return 1
+        if pytest(copy, sorted({node for m in MUTANTS for node in m.nodes})) != 0:
+            print("the listed nodes fail without a mutant: run them to see why")
+            return 1
+        for m in MUTANTS:
+            path = copy / m.file
+            source = path.read_text(encoding="utf-8")
+            start = time.perf_counter()
+            if source.count(m.snippet) != 1:
+                verdict = f"snippet occurs {source.count(m.snippet)} times, not once"
+            else:
+                path.write_text(source.replace(m.snippet, m.replacement), encoding="utf-8")
+                try:
+                    code = pytest(copy, m.nodes)
+                finally:
+                    path.write_text(source, encoding="utf-8")
+                verdict = {0: "survived", 1: "killed"}.get(code, f"pytest exited {code}")
+            expected = "survived" if m.survives else "killed"
+            ok = verdict == expected
+            label = f"{m.file}: {m.snippet.strip()!r} -> {m.replacement.strip()!r}"
+            print(f"{'ok  ' if ok else 'FAIL'} {verdict:8} {time.perf_counter() - start:5.1f}s "
+                  f"{label}", flush=True)
+            if not ok:
+                failures.append(label)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants as expected")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

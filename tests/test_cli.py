@@ -324,7 +324,7 @@ class TestTrajectoryCommand:
         The abort policy stops at the origin before the NaN step; holding the
         branch reaches it and raises, as ik_branch does there.  The column
         kernel's inf and NaN arithmetic warns nowhere: stderr holds only the
-        metadata line."""
+        metadata line.  A NaN step raises also as the last step reported."""
         argv = ["trajectory", "-L", "1e200", "-w", "0,0,0", "-w", "1e200,0,0", "--step", "1e199"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -337,10 +337,12 @@ class TestTrajectoryCommand:
             assert meta["summary"] == {
                 "feasible": False, "first_failure_index": 0, "aborted_at": 0, "n_steps": 1,
                 "n_singular_steps": 1, "n_limit_violations": 1, "n_infeasible_steps": 0}
-            with pytest.raises(RadicandNegative) as exc:
-                main([*argv, "--policy", "warn-and-hold-branch"])
-        assert exc.value.axis == "y"
-        assert str(exc.value) == "axis y: radicand is NaN; point (1e+199, 0.0, 0.0)"
+            for end in ("1e200,0,0", "1e199,0,0"):  # to 1e199 the NaN step is the last one
+                with pytest.raises(RadicandNegative) as exc:
+                    main([*argv[:5], "-w", end, "--step", "1e199", "--policy",
+                          "warn-and-hold-branch"])
+                assert exc.value.axis == "y"
+                assert str(exc.value) == "axis y: radicand is NaN; point (1e+199, 0.0, 0.0)"
         assert capsys.readouterr() == ("", "")
 
 

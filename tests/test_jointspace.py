@@ -26,6 +26,24 @@ SQRT3 = math.sqrt(3.0)
 BISECTOR = SphericalDirection.from_vector(1.0, 1.0, 1.0)
 
 
+class TestFromVector:
+    @pytest.mark.parametrize("vec", [
+        (math.nan, 1.0, 1.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+        (0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+    ])
+    def test_non_finite_or_nonpositive_component_rejected(self, vec):
+        with pytest.raises(ValueError):
+            SphericalDirection.from_vector(*vec)
+
+    @pytest.mark.parametrize("k", [-1070, -1000, -540, 540, 1000, 1020])
+    def test_same_direction_at_every_power_of_two(self, k):
+        """Where x * x underflows or overflows the direction is still the one at
+        magnitude 1, bit for bit, down to subnormal components."""
+        for vec in ((1.0, 1.0, 1.0), (3.0, 4.0, 5.0), (0.25, 1.0, 0.5)):
+            scaled = [math.ldexp(c, k) for c in vec]
+            assert SphericalDirection.from_vector(*scaled) == SphericalDirection.from_vector(*vec)
+
+
 class TestFeasibility:
     def test_home_joints(self, unit_params):
         rho = JointVector(1, 1, 1)
@@ -220,8 +238,9 @@ class TestBoundaryRhoX:
                 assert feasibility_product(rho, params) == pytest.approx(1.0, abs=1e-9)
 
     def test_nonpositive_slice_rejected(self, unit_params):
-        with pytest.raises(ValueError):
-            boundary_rho_x(-1.0, 1.0, unit_params)
+        for rho_y, rho_z in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                boundary_rho_x(rho_y, rho_z, unit_params)
 
     def test_agrees_with_radial_form(self, unit_params):
         """The biquadratic slice and the spherical radius describe the same

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import random
 import threading
 import time
 
@@ -24,6 +25,9 @@ from orthoglide import (
     monte_carlo_volumes,
     workspace_volumes,
 )
+from orthoglide.workspace import _REGIONS, _path_columns
+
+from test_shared_formulas import REGION_LENGTHS, region_edge_points
 
 SQRT2 = math.sqrt(2.0)
 
@@ -151,6 +155,22 @@ def test_infinite_point_is_outside_without_flags(unit_params, p):
     assert classify_point(q, unit_params) is WorkspaceRegion.OUTSIDE
     assert not in_cylinder_intersection(q, unit_params)
     assert not is_serial_singular(q, unit_params).any()
+
+
+@pytest.mark.parametrize("eps_geom", [1e-9, 1e-15, 2**-30])
+@pytest.mark.parametrize("L", REGION_LENGTHS)
+def test_path_regions_at_the_region_edges(L, eps_geom):
+    """The trajectory's column pass gives each step ``classify_point``'s region on
+    every edge the region decision draws.  numpy's hypot rounds otherwise than
+    math.hypot on a few of these points, enough to move some across an edge."""
+    params = ManipulatorParams(L, eps_geom=eps_geom)
+    pts = region_edge_points(L, eps_geom * L, random.Random(2026))
+    # A segment from the origin ends exactly on its waypoint.
+    waypoints = [w for p in pts for w in ((0.0, 0.0, 0.0), p)]
+    points, *_, region, _ = _path_columns(waypoints, [1] * (len(waypoints) - 1), PPP, params,
+                                          False)
+    assert [_REGIONS[k] for k in region.tolist()] == [
+        classify_point(CartesianPoint(*p), params) for p in zip(*points.tolist())]
 
 
 class TestVolumes:
