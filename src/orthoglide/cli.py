@@ -185,10 +185,11 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
     else:
         # A top-level key sits at exactly "\n  " and a JSON string holds no
         # raw newline, so the placeholder occurs once.
-        placeholder = f"\n  {_json_str(key)}: []"
-        head, tail = _json_indent({**report, key: []}).split(placeholder)
-        body = ",\n".join(items)
-        print(head, placeholder[:-2], f"[\n{body}\n  ]" if body else "[]", tail, sep="")
+        placeholder = f"\n  {_json_str(key)}: "
+        head, tail = _json_indent({**report, key: []}).split(placeholder + "[]")
+        sys.stdout.write(head + placeholder)
+        sys.stdout.writelines(map(str.__add__, chain(("[\n",), repeat(",\n")), items))
+        print("\n  ]", tail, sep="")
 
 
 def _template(value, depth: int) -> str:
@@ -298,12 +299,12 @@ def cmd_dk(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # trajectory
 # ---------------------------------------------------------------------------
-#: One ``report["records"]`` element, and one per error axis for an infeasible step.
-_RECORD, *_RECORD_INFEASIBLE = ("    " + _template({
+#: A step's record template by its error axis, feasible at -1; ``%.0s`` drops unused fields.
+_RECORDS = ["    " + _template({
     "index": "%s", "p": ["%s"] * 3, "branch": "%s", "region": "%s", "singular_axes": "%s", **tail,
-}, 2) for tail in (
-    {"rho": ["%s"] * 3, "joint_limits_ok": "%s", "infeasible": False},
-    *({"rho": None, "joint_limits_ok": False, "infeasible": True, "error_axis": a} for a in AXES)))
+}, 2).replace("null", "%.0s" * 4 + "null") for tail in (
+    *({"rho": None, "joint_limits_ok": False, "infeasible": True, "error_axis": a} for a in AXES),
+    {"rho": ["%s"] * 3, "joint_limits_ok": "%s", "infeasible": False})]
 #: ``singular_axes`` in JSON and in CSV, by the code x + 2y + 4z of the serial flags.
 _SINGULAR = [[a for k, a in enumerate(AXES) if code >> k & 1] for code in range(8)]
 _AXES_JSON, _AXES_CSV = [_template(a, 3) for a in _SINGULAR], [";".join(a) for a in _SINGULAR]
@@ -321,7 +322,11 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         raise ValueError("need at least two -w/--waypoint arguments")
     if not args.step > 0:
         raise ValueError("--step must be positive")
-    spans = [math.dist(a, b) / args.step for a, b in zip(wps, wps[1:])]
+    lengths = list(map(math.dist, wps, wps[1:]))
+    if math.inf in lengths:
+        k = lengths.index(math.inf) + 1
+        raise ValueError(f"waypoints {k} and {k + 1} are too far apart: their distance overflows")
+    spans = [d / args.step for d in lengths]
     if not all(map(math.isfinite, spans)):
         raise ValueError(f"--step {args.step!r} is too small: the step count overflows")
     # Past 2**53 steps a segment's i and n stop being exact floats; checked
@@ -367,12 +372,9 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         rows = zip(range(n), x, y, z, *rho, repeat(branch.label), regions,
                    map(_AXES_CSV.__getitem__, codes), ok, (axis >= 0).tolist())
     else:
-        label = _json_str(branch.label)
-        axes = [_AXES_JSON[c] for c in codes]
-        records = list(map(_RECORD.__mod__, zip(range(n), x, y, z, repeat(label), regions, axes,
-                                                 *rho, map(("false", "true").__getitem__, ok))))
-        for k, a in zip(bad, axis[bad].tolist()):
-            records[k] = _RECORD_INFEASIBLE[a] % (k, x[k], y[k], z[k], label, regions[k], axes[k])
+        axes, oks = map(_AXES_JSON.__getitem__, codes), map(("false", "true").__getitem__, ok)
+        fields = zip(range(n), x, y, z, repeat(_json_str(branch.label)), regions, axes, *rho, oks)
+        records = map(str.__mod__, map(_RECORDS.__getitem__, axis.tolist()), fields)
     _emit(report, args.fmt, _TRAJECTORY_HEADER, rows, "records", records)
     return EXIT_OK if report["summary"]["feasible"] else EXIT_INFEASIBLE
 

@@ -52,6 +52,8 @@ PATH_EDGES = ("tests/test_workspace.py::test_path_regions_at_the_region_edges",)
 FLOAT_TEXTS = ("tests/test_cli.py::TestFloatTexts",)
 SHORT_CSV = ("tests/test_cli.py::TestWriters"
              "::test_short_reports_are_csv_writer_of_the_json_values",)
+JSON_WRITER = ("tests/test_cli.py::TestWriters::test_json_is_json_dumps_indent_2",)
+STREAM = ("tests/test_cli.py::TestWriters::test_json_list_is_written_item_by_item",)
 USAGE = ("tests/test_cli.py::test_usage_error_message",)
 MC = "tests/test_workspace.py::TestMonteCarlo"
 MC_RANGES = (f"{MC}::test_hits_independent_of_cpus_and_block",)
@@ -89,14 +91,22 @@ MUTANTS = [
     Mutant(WORKSPACE, "octant = (x > 0)", "octant = (x >= 0)", REGION_EDGES,
            survives="the octant sign counts only where clear holds, and clear needs "
                     "|x| > band >= 0, which excludes x = 0"),
-    # cli: the float writer's orjson range, the flat posture in CSV, the memory errors
+    # cli: the float writer's orjson range, the flat posture in CSV, the usage errors
     Mutant(CLI, "(1e-4 <= size)", "(1e-5 <= size)", FLOAT_TEXTS),
     Mutant(CLI, "(1e-4 <= size)", "(1e-4 < size)", FLOAT_TEXTS,
            survives="at exactly 1e-4 repr, json.dumps and orjson all write 0.0001"),
     Mutant(CLI, "(size < 1e16)", "(size <= 1e16)", FLOAT_TEXTS),
     Mutant(CLI, 'd["posture"] or ""', 'd["posture"]', SHORT_CSV),
+    Mutant(CLI, "if math.inf in lengths:", "if False:", USAGE),
     Mutant(CLI, "except MemoryError:  # a step", "except OverflowError:  # a step", USAGE),
     Mutant(CLI, "except MemoryError:  # a grid", "except OverflowError:  # a grid", USAGE),
+    # cli: the trajectory's record templates by error axis, and the JSON list's splice
+    Mutant(CLI, '"%.0s" * 4', '"%.0s" * 3', JSON_WRITER),
+    Mutant(CLI, '"%.0s" * 4', '"%.0s" * 5', JSON_WRITER),
+    Mutant(CLI, "for a in AXES),\n    {", 'for a in "zyx"),\n    {', RECORDS),
+    Mutant(CLI, "map(_RECORDS.__getitem__,", "map([_RECORDS[-1], *_RECORDS[:-1]].__getitem__,",
+           RECORDS),
+    Mutant(CLI, 'repeat(",\\n")', 'repeat(",")', JSON_WRITER + STREAM),
     # workspace.monte_carlo_volumes: per-CPU PCG64 ranges in threads
     Mutant(WORKSPACE, ".advance(3 * start)", ".advance(3 * start + 3)", MC_RANGES),
     Mutant(WORKSPACE, "            t.join()", "            pass", MC_RANGES + MC_ERRORS),

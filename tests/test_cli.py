@@ -66,6 +66,9 @@ def test_negative_values_parse_as_values(capsys, argv, code):
          "--step must be positive"),
         (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1e300,0,0", "--step", "1e-300"], None,
          "--step 1e-300 is too small: the step count overflows"),
+        # The path length overflows, whatever the step.
+        (["trajectory", "-L", "1", "-w", "-1e308,0,0", "-w", "1e308,0,0", "--step", "1e300"], None,
+         "waypoints 1 and 2 are too far apart: their distance overflows"),
         # Rejected before numpy allocates anything for the steps.
         (["trajectory", "-L", "1", "-w", "0,0,0", "-w", "1,0,0", "--step", "1e-290"], None,
          "--step 1e-290 is too small: one segment needs 1e+290 steps, more than 2**53"),
@@ -510,6 +513,9 @@ class TestWriters:
          "--policy", "warn-and-hold-branch", "-b", "PMP"],
         # rho overflows to inf, which json writes as Infinity
         ["-L", "1e200", "-w", "0,0,0", "-w", "1,0,0", "--step", "1"],
+        # infeasible steps of each error axis, x, y and z
+        ["-L", "1", "-w", "0.2,0.2,0.2", "-w", "0,1.5,0", "-w", "0.8,0.8,0", "-w", "1.5,0,0",
+         "--step", "0.1", "--policy", "warn-and-hold-branch"],
     ]
     BOUNDARY_SAMPLES = [
         ["-L", "1", "--grid", "1"],
@@ -538,9 +544,9 @@ class TestWriters:
             report = json.loads(out)
             assert out == json.dumps(report, indent=2) + "\n", argv
             records += report.get("records", [])
-        # The fixtures reach every branch of the record template.
+        # The fixtures reach every record template and each branch of one.
         assert {len(r["singular_axes"]) for r in records} >= {0, 1, 3}
-        assert any(r["rho"] is None and "error_axis" in r for r in records)
+        assert {r["error_axis"] for r in records if r["rho"] is None} == {"x", "y", "z"}
         assert any(r["rho"] is not None and math.isinf(r["rho"][0]) for r in records)
 
     def test_csv_is_csv_writer_output(self, capsys):
@@ -613,6 +619,22 @@ class TestWriters:
                 calls.clear()
                 run(capsys, argv)
                 assert len(calls) == 1, argv
+
+    def test_json_list_is_written_item_by_item(self, capsys):
+        """Each list item is written as it is drawn, so no report body is
+        joined in memory first: the head is out before the first item."""
+        report = {"command": "c", "rows": [], "summary": {"n": 2}}
+        seen = []
+
+        def items():
+            seen.append(capsys.readouterr().out)
+            yield "    1"
+            yield "    2"
+
+        cli._emit(report, "json", key="rows", items=items())
+        assert seen == ['{\n  "command": "c",\n  "rows": ']
+        out = seen[0] + capsys.readouterr().out
+        assert out == json.dumps({**report, "rows": [1, 2]}, indent=2) + "\n"
 
 
 class TestFloatTexts:

@@ -69,6 +69,8 @@ TRAJECTORIES = [
     ["-L", "1e3", "-w", "0,0,0", "-w", "700,700,700", "-w", "1500,0,3", "--step", "9",
      "--policy", "warn-and-hold-branch", "-b", "PMP"],
     ["-L", "1e200", "-w", "0,0,0", "-w", "1,0,0", "--step", "1"],
+    ["-L", "1", "-w", "0.2,0.2,0.2", "-w", "0,1.5,0", "-w", "0.8,0.8,0", "-w", "1.5,0,0",
+     "--step", "0.1", "--policy", "warn-and-hold-branch"],
 ]
 BOUNDARY_SAMPLES = [
     ["-L", "1", "--grid", "1"],
@@ -166,6 +168,10 @@ GOLDEN = {
         "745526d7c549bfed",
     "trajectory -L 1e200 -w 0,0,0 -w 1,0,0 --step 1 --json": "fa30c8189e4683f8",
     "trajectory -L 1e200 -w 0,0,0 -w 1,0,0 --step 1 --csv": "47cab464233be66e",
+    "trajectory -L 1 -w 0.2,0.2,0.2 -w 0,1.5,0 -w 0.8,0.8,0 -w 1.5,0,0 --step 0.1 --policy warn-and-hold-branch --json":
+        "64faac74d2679458",
+    "trajectory -L 1 -w 0.2,0.2,0.2 -w 0,1.5,0 -w 0.8,0.8,0 -w 1.5,0,0 --step 0.1 --policy warn-and-hold-branch --csv":
+        "61e5c8c55790e273",
     "jointspace boundary-sample -L 1 --grid 1 --json": "4fd94c38c4db77a5",
     "jointspace boundary-sample -L 1 --grid 1 --csv": "e41563ec30fd4be4",
     "jointspace boundary-sample -L 1 --grid 3 --json": "6a07cdac675e801f",
