@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -63,6 +64,8 @@ _json_indent = json.JSONEncoder(indent=2, check_circular=False).encode
 # Accept option values like "-0.5,0.4,0.3": anything starting "-<digit>" or
 # "-.<digit>" is a value, not an option (no option strings look numeric).
 _VALUE_MATCHER = re.compile(r"^-\d|^-\.\d")
+#: Where a command's names go in the namespace: ``command``, then ``subcommand``.
+_DESTS = ("command", "subcommand")
 
 
 # ---------------------------------------------------------------------------
@@ -94,25 +97,12 @@ def _posture(text: str) -> int:
     raise argparse.ArgumentTypeError(f"posture must be -1 or +1, got {text!r}")
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction | None:
-    """``parser``'s subparsers action, if it has one."""
-    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
-
-
-def _parsers(parser: argparse.ArgumentParser):
-    """``parser`` and every subparser below it."""
-    yield parser
-    action = _subcommands(parser)
-    for sub in action.choices.values() if action else ():
-        yield from _parsers(sub)
-
-
-def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
-    for p in _parsers(parser):
-        p._negative_number_matcher = _VALUE_MATCHER
-
-
-def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "json") -> None:
+def _add_command(parser: argparse.ArgumentParser, subs, names: tuple[str, ...], func,
+                 help: str, default_fmt: str = "json") -> argparse.ArgumentParser:
+    """The parser of the command ``names``, made under ``subs`` with the options
+    every command takes, and registered in ``parser.commands[names]``."""
+    sub = parser.commands[names] = subs.add_parser(names[-1], help=help)
+    sub._negative_number_matcher = _VALUE_MATCHER
     sub.add_argument("-L", "--leg-length", dest="L", type=float, required=True,
                      help="bar-link length L (sets the unit of all lengths)")
     sub.add_argument("--eps-geom", type=float, default=None,
@@ -124,7 +114,8 @@ def _add_common(sub: argparse.ArgumentParser, default_fmt: str = "json") -> None
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
-    sub.set_defaults(fmt=default_fmt)
+    sub.set_defaults(fmt=default_fmt, func=func)
+    return sub
 
 
 #: Config key -> (type, default); ``main`` merges flag > config > default.
@@ -311,6 +302,8 @@ _AXES_JSON, _AXES_CSV = [_template(a, 3) for a in _SINGULAR], [";".join(a) for a
 #: A region's ``report["records"]`` text in CSV and in JSON, by its ``_region_code``.
 _REGION_CSV = [r.value for r in _REGIONS]
 _REGION_JSON = [_json_str(r.value) for r in _REGIONS]
+#: Steps whose texts ``trajectory`` makes and writes together.
+_BLOCK = 2**15
 _TRAJECTORY_HEADER = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
                       "branch", "region", "singular_axes", "joint_limits_ok", "infeasible")
 
@@ -350,32 +343,38 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
                          "do not fit in memory") from None
     n = len(ok)
     failures = (~ok).nonzero()[0]
-    bad = (axis >= 0).nonzero()[0].tolist()
+    infeasible = axis >= 0
+    n_bad = int(infeasible.sum())
     report.update(records=[], summary={  # _emit writes the records in their place
         "feasible": not failures.size and aborted_at is None,
         "first_failure_index": int(failures[0]) if failures.size else None,
         "aborted_at": aborted_at,
         "n_steps": n,
         "n_singular_steps": int((codes > 0).sum()),
-        "n_limit_violations": failures.size - len(bad),
-        "n_infeasible_steps": len(bad),
+        "n_limit_violations": failures.size - n_bad,
+        "n_infeasible_steps": n_bad,
     })
-    # The reported steps, written column-wise; an infeasible step has no joints.
+    # The reported steps, written one block at a time, so only that block's
+    # texts are kept; an infeasible step has no joints.
     spell, region_text = (repr, _REGION_CSV) if args.fmt == "csv" else (json.dumps, _REGION_JSON)
-    regions = [region_text[k] for k in region.tolist()]
-    x, y, z, *rho = (_float_texts(c, spell) for c in (*points, *rho))
-    codes, ok = codes.tolist(), ok.tolist()
-    rows = records = ()
-    if args.fmt == "csv":
-        for k in bad:
-            rho[0][k] = rho[1][k] = rho[2][k] = ""
-        rows = zip(range(n), x, y, z, *rho, repeat(branch.label), regions,
-                   map(_AXES_CSV.__getitem__, codes), ok, (axis >= 0).tolist())
-    else:
-        axes, oks = map(_AXES_JSON.__getitem__, codes), map(("false", "true").__getitem__, ok)
-        fields = zip(range(n), x, y, z, repeat(_json_str(branch.label)), regions, axes, *rho, oks)
-        records = map(str.__mod__, map(_RECORDS.__getitem__, axis.tolist()), fields)
-    _emit(report, args.fmt, _TRAJECTORY_HEADER, rows, "records", records)
+
+    def block(i: int):
+        s = slice(i, i + _BLOCK)
+        x, y, z, *r = (_float_texts(c[s], spell) for c in (*points, *rho))
+        regions = map(region_text.__getitem__, region[s].tolist())
+        singular, oks = codes[s].tolist(), ok[s].tolist()
+        if args.fmt == "csv":
+            for k in infeasible[s].nonzero()[0].tolist():
+                r[0][k] = r[1][k] = r[2][k] = ""
+            return zip(range(i, n), x, y, z, *r, repeat(branch.label), regions,
+                       map(_AXES_CSV.__getitem__, singular), oks, infeasible[s].tolist())
+        fields = zip(range(i, n), x, y, z, repeat(_json_str(branch.label)), regions,
+                     map(_AXES_JSON.__getitem__, singular), *r,
+                     map(("false", "true").__getitem__, oks))
+        return map(str.__mod__, map(_RECORDS.__getitem__, axis[s].tolist()), fields)
+
+    steps = chain.from_iterable(map(block, range(0, n, _BLOCK)))
+    _emit(report, args.fmt, _TRAJECTORY_HEADER, steps, "records", steps)
     return EXIT_OK if report["summary"]["feasible"] else EXIT_INFEASIBLE
 
 
@@ -447,23 +446,20 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 class _TopLevelParser(argparse.ArgumentParser):
     """Hands the arguments after a known command straight to that command's
-    parser.  argparse's subparsers action passes them on unchanged too, but
-    only after matching each one against the top-level options."""
+    parser, ``commands[names]``, which ``build_parser`` fills.  argparse's
+    subparsers action passes them on unchanged too, but only after matching
+    each one against the top-level options."""
 
     def parse_known_args(self, args=None, namespace=None):
         rest = sys.argv[1:] if args is None else list(args)
+        names = next((k for k in (tuple(rest[:1]), tuple(rest[:2])) if k in self.commands), None)
         # "--=x" abbreviates both --help and --version, which the top level
         # rejects as ambiguous before any command sees it.
-        if namespace is not None or any(a.startswith("--=") for a in rest):
+        if names is None or namespace is not None or any(a.startswith("--=") for a in rest):
             return super().parse_known_args(args, namespace)
-        names, parser = {}, self
-        while (action := _subcommands(parser)) is not None:
-            if not rest or rest[0] not in action.choices:
-                return super().parse_known_args(args, namespace)
-            names[action.dest], parser, rest = rest[0], action.choices[rest[0]], rest[1:]
         # As the subparsers action does: the command's values over the names.
-        namespace = argparse.Namespace(**names)
-        parsed, extras = parser.parse_known_args(rest)
+        namespace = argparse.Namespace(**dict(zip(_DESTS, names)))
+        parsed, extras = self.commands[names].parse_known_args(rest[len(names):])
         vars(namespace).update(vars(parsed))
         return namespace, extras
 
@@ -473,27 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orthoglide",
         description="Kinematics and workspace analysis for the Orthoglide parallel manipulator.",
     )
+    parser._negative_number_matcher = _VALUE_MATCHER
+    parser.commands = {}
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True,
+    sub = parser.add_subparsers(dest=_DESTS[0], required=True,
                                 parser_class=argparse.ArgumentParser)
 
-    p_ik = sub.add_parser("ik", help="inverse kinematics for one point")
-    _add_common(p_ik)
+    p_ik = _add_command(parser, sub, ("ik",), cmd_ik, "inverse kinematics for one point")
     p_ik.add_argument("-p", "--point", type=_triple, required=True, help="TCP position x,y,z")
     p_ik.add_argument("-b", "--branch", type=_branch_label, default=None,
                       help="restrict to one branch label (e.g. PPP, MPM)")
-    p_ik.set_defaults(func=cmd_ik)
 
-    p_dk = sub.add_parser("dk", help="direct kinematics for one joint vector")
-    _add_common(p_dk)
+    p_dk = _add_command(parser, sub, ("dk",), cmd_dk, "direct kinematics for one joint vector")
     p_dk.add_argument("-r", "--joints", type=_triple, required=True,
                       help="joint displacements rho_x,rho_y,rho_z (nonzero)")
     p_dk.add_argument("-m", "--posture", type=_posture, default=None,
                       help="restrict to one posture index (-1 or +1)")
-    p_dk.set_defaults(func=cmd_dk)
 
-    p_tr = sub.add_parser("trajectory", help="feasibility check along interpolated waypoints")
-    _add_common(p_tr)
+    p_tr = _add_command(parser, sub, ("trajectory",), cmd_trajectory,
+                        "feasibility check along interpolated waypoints")
     p_tr.add_argument("-w", "--waypoint", dest="waypoints", type=_triple, action="append",
                       required=True, help="waypoint x,y,z (repeat, at least twice)")
     p_tr.add_argument("--step", type=float, required=True,
@@ -502,45 +496,36 @@ def build_parser() -> argparse.ArgumentParser:
                       help="branch to hold throughout (default PPP)")
     p_tr.add_argument("--policy", choices=("abort", "warn-and-hold-branch"), default="abort",
                       help="behaviour at singular/infeasible steps")
-    p_tr.set_defaults(func=cmd_trajectory)
 
-    p_vol = sub.add_parser("volumes", help="workspace volume report")
-    _add_common(p_vol)
+    p_vol = _add_command(parser, sub, ("volumes",), cmd_volumes, "workspace volume report")
     p_vol.add_argument("--mc", type=int, default=None, metavar="N",
                        help="add Monte-Carlo estimates with N samples")
     p_vol.add_argument("--seed", type=int, default=None, help="RNG seed for --mc")
-    p_vol.set_defaults(func=cmd_volumes)
 
     p_js = sub.add_parser("jointspace", help="jointspace feasibility tools")
-    js_sub = p_js.add_subparsers(dest="subcommand", required=True)
-    p_check = js_sub.add_parser("check", help="feasibility of one joint vector")
-    _add_common(p_check)
+    p_js._negative_number_matcher = _VALUE_MATCHER
+    js_sub = p_js.add_subparsers(dest=_DESTS[1], required=True)
+    p_check = _add_command(parser, js_sub, ("jointspace", "check"), cmd_jointspace_check,
+                           "feasibility of one joint vector")
     p_check.add_argument("-r", "--joints", type=_triple, required=True,
                          help="joint displacements rho_x,rho_y,rho_z (nonzero)")
-    p_check.set_defaults(func=cmd_jointspace_check)
-    p_bs = js_sub.add_parser("boundary-sample", help="sample the boundary surface")
-    _add_common(p_bs, default_fmt="csv")
+    p_bs = _add_command(parser, js_sub, ("jointspace", "boundary-sample"),
+                        cmd_jointspace_boundary, "sample the boundary surface", default_fmt="csv")
     p_bs.add_argument("--grid", type=int, default=10,
                       help="n x n interior grid of (phi, theta) directions")
-    p_bs.set_defaults(func=cmd_jointspace_boundary)
-
-    _allow_negative_values(parser)
     return parser
 
 
-#: ``(builder, parser, command parsers)``: the parser ``main`` reuses, the
-#: ``build_parser`` that built it, and its subparsers that run a ``cmd_*``.
-#: A replaced ``build_parser`` gets a parser of its own on the next call.
-_built: tuple | None = None
-
-
 def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    global _built
-    build = build_parser
-    if _built is None or _built[0] is not build:
-        parser = build()
-        _built = (build, parser, [p for p in _parsers(parser) if p.get_default("func")])
-    return _built[1], _built[2]
+    """The parser ``main`` reuses and its command parsers, those that run a
+    ``cmd_*``.  A replaced ``build_parser`` gets a parser of its own."""
+    return _built_by(build_parser)
+
+
+@functools.lru_cache(maxsize=1)
+def _built_by(build) -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    parser = build()
+    return parser, list(parser.commands.values())
 
 
 def main(argv: Sequence[str] | None = None) -> int:

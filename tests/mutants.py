@@ -55,6 +55,10 @@ SHORT_CSV = ("tests/test_cli.py::TestWriters"
 JSON_WRITER = ("tests/test_cli.py::TestWriters::test_json_is_json_dumps_indent_2",)
 STREAM = ("tests/test_cli.py::TestWriters::test_json_list_is_written_item_by_item",)
 USAGE = ("tests/test_cli.py::test_usage_error_message",)
+CSV_VALUES = ("tests/test_cli.py::TestWriters::test_csv_is_csv_writer_of_the_json_values",)
+BLOCKS = ("tests/test_cli.py::TestWriters::test_block_size_does_not_change_bytes",)
+DISPATCH = ("tests/test_cli.py::TestCommandDispatch::test_matches_argparse_on_drawn_argvs",)
+NEGATIVE = ("tests/test_cli.py::test_negative_values_parse_as_values",)
 MC = "tests/test_workspace.py::TestMonteCarlo"
 MC_RANGES = (f"{MC}::test_hits_independent_of_cpus_and_block",)
 MC_ERRORS = (f"{MC}::test_range_error_reaches_caller_and_threads_end",)
@@ -107,6 +111,17 @@ MUTANTS = [
     Mutant(CLI, "map(_RECORDS.__getitem__,", "map([_RECORDS[-1], *_RECORDS[:-1]].__getitem__,",
            RECORDS),
     Mutant(CLI, 'repeat(",\\n")', 'repeat(",")', JSON_WRITER + STREAM),
+    # cli: the trajectory's steps written block by block
+    Mutant(CLI, "slice(i, i + _BLOCK)", "slice(i, i + _BLOCK + 1)", BLOCKS),
+    Mutant(CLI, "zip(range(i, n), x, y, z, *r", "zip(range(0, n), x, y, z, *r", BLOCKS),
+    Mutant(CLI, "zip(range(i, n), x, y, z, *r", "zip(range(i + 1, n), x, y, z, *r", CSV_VALUES),
+    # cli: the command registry and the direct dispatch that reads it
+    Mutant(CLI, 'any(a.startswith("--=") for a in rest)', "False", DISPATCH),
+    Mutant(CLI, "    sub._negative_number_matcher = _VALUE_MATCHER\n", "", NEGATIVE),
+    Mutant(CLI, "rest[len(names):]", "rest[1:]", DISPATCH + NEGATIVE),
+    Mutant(CLI, "(tuple(rest[:1]), tuple(rest[:2]))", "(tuple(rest[:2]), tuple(rest[:1]))",
+           DISPATCH, survives="no command name is the first word of another, so at most one "
+                              "of the two lookups is in the registry"),
     # workspace.monte_carlo_volumes: per-CPU PCG64 ranges in threads
     Mutant(WORKSPACE, ".advance(3 * start)", ".advance(3 * start + 3)", MC_RANGES),
     Mutant(WORKSPACE, "            t.join()", "            pass", MC_RANGES + MC_ERRORS),

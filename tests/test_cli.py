@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 import warnings
-from argparse import ArgumentParser
+from argparse import ArgumentParser, _SubParsersAction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -636,6 +636,15 @@ class TestWriters:
         out = seen[0] + capsys.readouterr().out
         assert out == json.dumps({**report, "rows": [1, 2]}, indent=2) + "\n"
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_bytes(self, capsys, monkeypatch, block):
+        """``trajectory`` makes and writes its steps' texts one block at a
+        time; any block size writes the same bytes."""
+        argvs = [["trajectory", *a, fmt] for a in self.TRAJECTORIES for fmt in ("--json", "--csv")]
+        want = [run(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert [run(capsys, argv) for argv in argvs] == want
+
 
 class TestFloatTexts:
     """``_float_texts`` writes each float as ``repr`` or ``json.dumps`` does,
@@ -915,6 +924,22 @@ class TestCommandDispatch:
             except SystemExit as exc:
                 result = exc.code
         return repr(result), out.getvalue(), err.getvalue()
+
+    def test_registry_is_the_whole_tree(self):
+        """``parser.commands`` holds every parser that runs a ``cmd_*``, under
+        the names that reach it from the top level, and nothing else."""
+        parser = cli.build_parser()
+        found, todo = {}, [((), parser)]
+        while todo:
+            names, node = todo.pop()
+            if node.get_default("func"):
+                found[names] = node
+            for action in node._actions:
+                if isinstance(action, _SubParsersAction):
+                    todo += [((*names, name), sub) for name, sub in action.choices.items()]
+        assert len(found) == 6
+        assert found == parser.commands
+        assert cli._parser()[1] == list(cli._parser()[0].commands.values())
 
     def test_matches_argparse_on_drawn_argvs(self, tmp_path):
         good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
