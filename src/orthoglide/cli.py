@@ -28,8 +28,8 @@ import math
 import os
 import re
 import sys
-from itertools import chain, repeat
-from typing import Iterable, Sequence
+from itertools import chain, product, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .core import (
@@ -164,13 +164,15 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
           key: str | None = None, items: Iterable[str] = ()) -> None:
     """Write a report to stdout: ``json.dumps(report, indent=2)``, with the
     JSON ``items`` spliced in as the list at ``report[key]``, or CSV ``header``
-    and ``rows`` with the rest on stderr, through a ``%s`` line template:
-    ``csv.writer``'s output for the fields it leaves unquoted, all that rows hold."""
+    and ``rows`` with the rest on stderr, through a ``%s`` line template
+    (``csv.writer``'s output for the fields it leaves unquoted, all that rows
+    hold), then the CSV text ``items``."""
     if fmt == "csv":
         meta = {k: v for k, v in report.items() if k not in ("rows", "records", "solutions")}
         print(json.dumps(meta), file=sys.stderr)
         line = ",".join(["%s"] * len(header)) + "\n"
         sys.stdout.writelines(map(line.__mod__, chain((tuple(header),), rows)))
+        sys.stdout.writelines(items)
     elif key is None:
         print(_json_indent(report))
     else:
@@ -179,7 +181,7 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
         placeholder = f"\n  {_json_str(key)}: "
         head, tail = _json_indent({**report, key: []}).split(placeholder + "[]")
         sys.stdout.write(head + placeholder)
-        sys.stdout.writelines(map(str.__add__, chain(("[\n",), repeat(",\n")), items))
+        sys.stdout.writelines(chain.from_iterable(zip(chain(("[\n",), repeat(",\n")), items)))
         print("\n  ]", tail, sep="")
 
 
@@ -206,6 +208,44 @@ def _float_texts(values: Sequence[float], spell) -> list[str]:
     for k in np.flatnonzero(~((1e-4 <= size) & (size < 1e16)) & (size != 0.0)).tolist():
         texts[k] = spell(float(column[k]))
     return texts
+
+
+#: Rows of a long report whose texts are made, joined and written together:
+#: up to ~200 kB of text, so that a report adds little to the peak heap.
+_CHUNK = 2**9
+
+
+def _chunks(fmt: str, n: int, row: Sequence[str], columns: Sequence,
+            nulls: tuple | None = None) -> Iterator[str]:
+    """Rows 0 .. n - 1 of a long report, ``_CHUNK`` rows to a text.  Row r is
+    ``row[0]``, column 0's text, ``row[1]``, ... ``row[-1]``, and JSON rows are
+    separated by a comma and a newline.  A column is a float array, written by
+    ``_float_texts``, or a function from a slice of rows to their texts.  A
+    chunk is one list of pieces, the constant ones laid by repeating one row,
+    each column's put in by extended-slice assignment, then joined.  ``nulls =
+    (axis, at, spans)``: a row whose ``axis`` is a >= 0 gets ``spans[a]`` for
+    its pieces from place ``at`` on."""
+    spell, sep = (repr, "") if fmt == "csv" else (json.dumps, ",\n")
+    k = len(row) + len(columns)
+    unit = [sep + row[0], *chain.from_iterable(zip(repeat(None), row[1:]))]
+    for i in range(0, n, _CHUNK):
+        s = slice(i, min(i + _CHUNK, n))
+        pieces = unit * (s.stop - i)
+        pieces[0] = row[0]
+        for j, column in enumerate(columns):
+            pieces[2 * j + 1::k] = column(s) if callable(column) else _float_texts(column[s], spell)
+        if nulls:
+            axis, at, spans = nulls
+            bad = axis[s]
+            for r in (bad >= 0).nonzero()[0].tolist():
+                span = spans[bad[r]]
+                pieces[r * k + at:r * k + at + len(span)] = span
+        yield "".join(pieces)
+
+
+def _lookup(table: Sequence[str], key) -> Callable:
+    """A ``_chunks`` column: ``table[c]`` for each code c of ``key(s)``."""
+    return lambda s: map(table.__getitem__, key(s).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +330,16 @@ def cmd_dk(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # trajectory
 # ---------------------------------------------------------------------------
-#: A step's record template by its error axis, feasible at -1; ``%.0s`` drops unused fields.
-_RECORDS = ["    " + _template({
-    "index": "%s", "p": ["%s"] * 3, "branch": "%s", "region": "%s", "singular_axes": "%s", **tail,
-}, 2).replace("null", "%.0s" * 4 + "null") for tail in (
-    *({"rho": None, "joint_limits_ok": False, "infeasible": True, "error_axis": a} for a in AXES),
-    {"rho": ["%s"] * 3, "joint_limits_ok": "%s", "infeasible": False})]
 #: ``singular_axes`` in JSON and in CSV, by the code x + 2y + 4z of the serial flags.
 _SINGULAR = [[a for k, a in enumerate(AXES) if code >> k & 1] for code in range(8)]
 _AXES_JSON, _AXES_CSV = [_template(a, 3) for a in _SINGULAR], [";".join(a) for a in _SINGULAR]
-#: A region's ``report["records"]`` text in CSV and in JSON, by its ``_region_code``.
-_REGION_CSV = [r.value for r in _REGIONS]
-_REGION_JSON = [_json_str(r.value) for r in _REGIONS]
-#: Steps whose texts ``trajectory`` makes and writes together.
-_BLOCK = 2**15
+#: A feasible step's JSON record, cut at its 11 fields.
+_RECORD = ("    " + _template({
+    "index": "%s", "p": ["%s"] * 3, "branch": "%s", "region": "%s", "singular_axes": "%s",
+    "rho": ["%s"] * 3, "joint_limits_ok": "%s", "infeasible": False}, 2)).split("%s")
+#: An infeasible step's JSON record from ``"rho"`` on, by its error axis.
+_NULL_RECORDS = ["," + _template({"rho": None, "joint_limits_ok": False, "infeasible": True,
+                                  "error_axis": a}, 2)[1:] for a in AXES]
 _TRAJECTORY_HEADER = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
                       "branch", "region", "singular_axes", "joint_limits_ok", "infeasible")
 
@@ -354,27 +390,30 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "n_limit_violations": failures.size - n_bad,
         "n_infeasible_steps": n_bad,
     })
-    # The reported steps, written one block at a time, so only that block's
-    # texts are kept; an infeasible step has no joints.
-    spell, region_text = (repr, _REGION_CSV) if args.fmt == "csv" else (json.dumps, _REGION_JSON)
+    # The fields that are small codes come from one table, by one key of them
+    # all; an infeasible step has no joints.
+    def index(s: slice):
+        return map(str, range(s.start, s.stop))
 
-    def block(i: int):
-        s = slice(i, i + _BLOCK)
-        x, y, z, *r = (_float_texts(c[s], spell) for c in (*points, *rho))
-        regions = map(region_text.__getitem__, region[s].tolist())
-        singular, oks = codes[s].tolist(), ok[s].tolist()
-        if args.fmt == "csv":
-            for k in infeasible[s].nonzero()[0].tolist():
-                r[0][k] = r[1][k] = r[2][k] = ""
-            return zip(range(i, n), x, y, z, *r, repeat(branch.label), regions,
-                       map(_AXES_CSV.__getitem__, singular), oks, infeasible[s].tolist())
-        fields = zip(range(i, n), x, y, z, repeat(_json_str(branch.label)), regions,
-                     map(_AXES_JSON.__getitem__, singular), *r,
-                     map(("false", "true").__getitem__, oks))
-        return map(str.__mod__, map(_RECORDS.__getitem__, axis[s].tolist()), fields)
-
-    steps = chain.from_iterable(map(block, range(0, n, _BLOCK)))
-    _emit(report, args.fmt, _TRAJECTORY_HEADER, steps, "records", steps)
+    key = region * 8 + codes
+    if args.fmt == "csv":
+        bools, regions = ("False", "True"), [r.value for r in _REGIONS]
+        table = list(map(",".join, product([branch.label], regions, _AXES_CSV, bools, bools)))
+        key = (key * 2 + ok) * 2 + infeasible
+        columns = [index, *points, *rho, _lookup(table, key.__getitem__)]
+        # An infeasible step's rho_x, rho_y and rho_z are blank: places 9 to 13.
+        row, nulls = ["", *[","] * 7, "\n"], (axis, 9, [["", ",", "", ",", ""]] * 3)
+    else:
+        # The branch, region and singular axes, with the record's text between them.
+        table = [f"{_json_str(branch.label)}{_RECORD[5]}{_json_str(r.value)}{_RECORD[6]}{a}"
+                 for r in _REGIONS for a in _AXES_JSON]
+        columns = [index, *points, _lookup(table, key.__getitem__), *rho,
+                   _lookup(("false", "true"), ok.__getitem__)]
+        row = [*_RECORD[:5], *_RECORD[7:]]
+        # An infeasible step's record from ``"rho"`` on, the row's last 9 places.
+        nulls = (axis, 10, [[text, *[""] * 8] for text in _NULL_RECORDS])
+    _emit(report, args.fmt, _TRAJECTORY_HEADER, key="records",
+          items=_chunks(args.fmt, n, row, columns, nulls))
     return EXIT_OK if report["summary"]["feasible"] else EXIT_INFEASIBLE
 
 
@@ -417,7 +456,6 @@ def cmd_jointspace_check(args: argparse.Namespace) -> int:
 
 
 _BOUNDARY_HEADER = ("phi", "theta", "t", "rho_x", "rho_y", "rho_z")
-_BOUNDARY_ROW = "    " + _template(dict.fromkeys(_BOUNDARY_HEADER, "%s"), 2)
 
 
 def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
@@ -431,13 +469,18 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
     except MemoryError:  # a grid the allocator refuses outright
         raise ValueError(f"--grid {n} is too large: {n * n:.3g} directions "
                          "do not fit in memory") from None
-    # Written one grid line at a time, so only that line's texts are kept.
-    spell = repr if args.fmt == "csv" else json.dumps
-    angle = _float_texts(angles, spell)
-    texts = chain.from_iterable(
-        zip(repeat(angle[i], n), angle, *(_float_texts(c[i], spell) for c in columns))
-        for i in range(n))
-    _emit(report, args.fmt, _BOUNDARY_HEADER, texts, "rows", map(_BOUNDARY_ROW.__mod__, texts))
+    # Row r is direction (angles[r // n], angles[r % n]).
+    import numpy as np
+
+    angle = _float_texts(angles, repr if args.fmt == "csv" else json.dumps)
+    phi = _lookup(angle, lambda s: np.arange(s.start, s.stop) // n)
+    theta = _lookup(angle, lambda s: np.arange(s.start, s.stop) % n)
+    if args.fmt == "csv":
+        row = ["", *[","] * 5, "\n"]
+    else:
+        row = ("    " + _template(dict.fromkeys(_BOUNDARY_HEADER, "%s"), 2)).split("%s")
+    rows = _chunks(args.fmt, n * n, row, [phi, theta, *(c.ravel() for c in columns)])
+    _emit(report, args.fmt, _BOUNDARY_HEADER, key="rows", items=rows)
     return EXIT_OK
 
 
@@ -542,9 +585,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             setattr(args, key, args.config.get(key, default))
     try:
         args.params = ManipulatorParams(L=args.L, eps_geom=args.eps_geom, eps_branch=args.eps_branch)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
     except (ValueError, ZeroJoint, DirectionOnOctantBorder) as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  As the Python docs' SIGPIPE
+        # note does: what is still buffered goes to devnull, and the run fails.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -56,6 +56,7 @@ JSON_WRITER = ("tests/test_cli.py::TestWriters::test_json_is_json_dumps_indent_2
 STREAM = ("tests/test_cli.py::TestWriters::test_json_list_is_written_item_by_item",)
 USAGE = ("tests/test_cli.py::test_usage_error_message",)
 CSV_VALUES = ("tests/test_cli.py::TestWriters::test_csv_is_csv_writer_of_the_json_values",)
+GOLDEN = ("tests/test_cli_golden.py::test_cli_bytes_are_golden",)
 BLOCKS = ("tests/test_cli.py::TestWriters::test_block_size_does_not_change_bytes",)
 DISPATCH = ("tests/test_cli.py::TestCommandDispatch::test_matches_argparse_on_drawn_argvs",)
 NEGATIVE = ("tests/test_cli.py::test_negative_values_parse_as_values",)
@@ -104,17 +105,25 @@ MUTANTS = [
     Mutant(CLI, "if math.inf in lengths:", "if False:", USAGE),
     Mutant(CLI, "except MemoryError:  # a step", "except OverflowError:  # a step", USAGE),
     Mutant(CLI, "except MemoryError:  # a grid", "except OverflowError:  # a grid", USAGE),
-    # cli: the trajectory's record templates by error axis, and the JSON list's splice
-    Mutant(CLI, '"%.0s" * 4', '"%.0s" * 3', JSON_WRITER),
-    Mutant(CLI, '"%.0s" * 4', '"%.0s" * 5', JSON_WRITER),
-    Mutant(CLI, "for a in AXES),\n    {", 'for a in "zyx"),\n    {', RECORDS),
-    Mutant(CLI, "map(_RECORDS.__getitem__,", "map([_RECORDS[-1], *_RECORDS[:-1]].__getitem__,",
+    # cli: the long reports' row writer, its chunks, the JSON list's splice
+    Mutant(CLI, '*[""] * 8]', '*[""] * 7]', JSON_WRITER),
+    Mutant(CLI, '*[""] * 8]', '*[""] * 9]', JSON_WRITER),
+    Mutant(CLI, '"error_axis": a}, 2)[1:] for a in AXES]', '"error_axis": a}, 2)[1:] for a in "zyx"]',
            RECORDS),
+    Mutant(CLI, "span = spans[bad[r]]", "span = spans[bad[r] - 1]", RECORDS),
+    Mutant(CLI, "                pieces[r * k + at:r * k + at + len(span)] = span\n", "",
+           JSON_WRITER + CSV_VALUES),
+    Mutant(CLI, "        pieces[0] = row[0]\n", "", JSON_WRITER),
     Mutant(CLI, 'repeat(",\\n")', 'repeat(",")', JSON_WRITER + STREAM),
-    # cli: the trajectory's steps written block by block
-    Mutant(CLI, "slice(i, i + _BLOCK)", "slice(i, i + _BLOCK + 1)", BLOCKS),
-    Mutant(CLI, "zip(range(i, n), x, y, z, *r", "zip(range(0, n), x, y, z, *r", BLOCKS),
-    Mutant(CLI, "zip(range(i, n), x, y, z, *r", "zip(range(i + 1, n), x, y, z, *r", CSV_VALUES),
+    Mutant(CLI, "slice(i, min(i + _CHUNK, n))", "slice(i, min(i + _CHUNK + 1, n))", BLOCKS),
+    Mutant(CLI, "range(0, n, _CHUNK)", "range(0, n, _CHUNK - 1)", BLOCKS),
+    Mutant(CLI, "map(str, range(s.start, s.stop))", "map(str, range(s.stop - s.start))", BLOCKS),
+    Mutant(CLI, "map(str, range(s.start, s.stop))", "map(str, range(s.start + 1, s.stop + 1))",
+           GOLDEN),
+    Mutant(CLI, "key = region * 8 + codes", "key = region * 8 + codes + 1", RECORDS),
+    Mutant(CLI, "key = (key * 2 + ok) * 2 + infeasible", "key = (key * 2 + ok + 1) * 2 + infeasible",
+           CSV_VALUES),
+    Mutant(CLI, "np.arange(s.start, s.stop) // n)", "np.arange(s.start, s.stop) % n)", GRID),
     # cli: the command registry and the direct dispatch that reads it
     Mutant(CLI, 'any(a.startswith("--=") for a in rest)', "False", DISPATCH),
     Mutant(CLI, "    sub._negative_number_matcher = _VALUE_MATCHER\n", "", NEGATIVE),

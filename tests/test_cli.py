@@ -488,9 +488,9 @@ def test_boundary_sample_overflowing_radius_is_a_usage_error(capsys, fmt):
 
 class TestWriters:
     """Reports are exactly what ``json.dumps(report, indent=2)`` and
-    ``csv.writer`` write.  ``trajectory`` and ``boundary-sample`` format their
-    long lists themselves, and every CSV row goes through one line template,
-    so these pin the writers on the cases each template branches on."""
+    ``csv.writer`` write.  ``trajectory`` and ``boundary-sample`` make their
+    long lists' rows with one row writer, and the short reports' CSV rows go
+    through one line template, so these pin both on the cases they branch on."""
 
     TRAJECTORIES = [
         # infeasible steps: rho null, with error_axis
@@ -636,13 +636,30 @@ class TestWriters:
         out = seen[0] + capsys.readouterr().out
         assert out == json.dumps({**report, "rows": [1, 2]}, indent=2) + "\n"
 
-    @pytest.mark.parametrize("block", [1, 7])
+    #: 3460 steps, infeasible ones of each error axis among them.
+    LONG_TRAJECTORY = ["-L", "1", "-w", "0.2,0.2,0.2", "-w", "0,1.5,0", "-w", "0.8,0.8,0",
+                       "-w", "1.5,0,0", "--step", "0.001", "--policy", "warn-and-hold-branch"]
+    CHUNKS = [1, 7, cli._CHUNK - 1, cli._CHUNK + 1]
+
+    @pytest.mark.parametrize("block", CHUNKS)
     def test_block_size_does_not_change_bytes(self, capsys, monkeypatch, block):
-        """``trajectory`` makes and writes its steps' texts one block at a
-        time; any block size writes the same bytes."""
-        argvs = [["trajectory", *a, fmt] for a in self.TRAJECTORIES for fmt in ("--json", "--csv")]
+        """``trajectory`` makes, joins and writes its steps' texts one chunk
+        of rows at a time; any chunk size writes the same bytes."""
+        argvs = [["trajectory", *a, fmt] for a in [*self.TRAJECTORIES, self.LONG_TRAJECTORY]
+                 for fmt in ("--json", "--csv")]
         want = [run(capsys, argv) for argv in argvs]
-        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert len(json.loads(want[-2][1])["records"]) > 3 * cli._CHUNK
+        monkeypatch.setattr(cli, "_CHUNK", block)
+        assert [run(capsys, argv) for argv in argvs] == want
+
+    @pytest.mark.parametrize("block", CHUNKS)
+    def test_boundary_chunk_size_does_not_change_bytes(self, capsys, monkeypatch, block):
+        """``boundary-sample`` goes through the same row writer: a chunk may
+        end inside a grid line or span several."""
+        argvs = [["jointspace", "boundary-sample", "-L", "1", "--grid", grid, fmt]
+                 for grid in ("1", "3", "40") for fmt in ("--json", "--csv")]
+        want = [run(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_CHUNK", block)
         assert [run(capsys, argv) for argv in argvs] == want
 
 
@@ -685,6 +702,25 @@ class TestFloatTexts:
 
     def test_empty_column(self):
         assert cli._float_texts([], repr) == []
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.7,0.7,0.7", "--step", "1e-4"],
+    ["jointspace", "boundary-sample", "-L", "1", "--grid", "300"],
+], ids=["trajectory", "boundary-sample"])
+def test_closed_pipe_exits_one_without_traceback(argv, fmt):
+    """A reader that stops after 100 bytes, as ``| head -c 100`` does, ends a
+    long report with exit 1 and nothing about the broken pipe on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "ORTHOGLIDE_CONFIG"}
+    env["PYTHONPATH"] = str(Path(orthoglide.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "orthoglide.cli", *argv, fmt], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_only_the_long_reports_import_orjson():
