@@ -13,9 +13,9 @@ so any reported solution can be re-verified by feeding it back through
 ``dk``/``ik``.  In CSV mode the same metadata goes to stderr so stdout
 stays machine-parseable.
 
-The argument parser is built once per process and reused.  A known command's
-arguments are parsed by that command's own parser, without first being
-checked against the top-level options.
+The argument parser is built once per process and reused as built.  A known
+command's arguments are parsed by that command's own parser, without first
+being checked against the top-level options.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 
 CONFIG_ENV_VAR = "ORTHOGLIDE_CONFIG"
+#: ``--config``'s default, the ``ORTHOGLIDE_CONFIG`` file; no argv word holds a NUL.
+_FROM_ENV = "\0" + CONFIG_ENV_VAR
 
 _json_str = json.encoder.encode_basestring_ascii
 #: ``json.dumps(value, indent=2)``; a report is a tree, so no cycle check.
@@ -109,7 +111,7 @@ def _add_command(parser: argparse.ArgumentParser, subs, names: tuple[str, ...], 
                      help="relative residual tolerance (default 1e-9)")
     sub.add_argument("--eps-branch", type=float, default=None,
                      help="absolute branch/posture sign tolerance (default 1e-9*L)")
-    sub.add_argument("--config", type=_config, default={},
+    sub.add_argument("--config", type=_config, default=_FROM_ENV,
                      help=f"key=value settings file (default: ${CONFIG_ENV_VAR})")
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
@@ -127,7 +129,14 @@ _SETTINGS = {
 
 
 def _config(path: str) -> dict:
-    """``--config`` type: a ``key = value`` file read into typed values."""
+    """``--config`` type: a ``key = value`` file read into typed values.
+    argparse runs the string default through it on each parse that has no
+    ``--config``, so ``_FROM_ENV`` reads the file ``$ORTHOGLIDE_CONFIG`` names
+    then, or none if the variable is unset or empty."""
+    if path == _FROM_ENV:
+        path = os.environ.get(CONFIG_ENV_VAR)
+        if not path:
+            return {}
     cfg, lineno = {}, 0
     try:
         with open(path, encoding="utf-8") as fh:
@@ -559,26 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The parser ``main`` reuses and its command parsers, those that run a
-    ``cmd_*``.  A replaced ``build_parser`` gets a parser of its own."""
-    return _built_by(build_parser)
-
-
 @functools.lru_cache(maxsize=1)
-def _built_by(build) -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    parser = build()
-    return parser, list(parser.commands.values())
+def _built_by(build) -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, left as ``build`` made it.  A replaced
+    ``build_parser`` gets a parser of its own."""
+    return build()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _parser()
-    # Read per call.  A string default goes through ``type=_config`` when
-    # --config is absent, so a bad env-var file fails from its subcommand.
-    env_config = os.environ.get(CONFIG_ENV_VAR) or {}
-    if commands[0].get_default("config") != env_config:
-        for command in commands:
-            command.set_defaults(config=env_config)
+    parser = _built_by(build_parser)
     args = parser.parse_args(argv)
     for key, (_, default) in _SETTINGS.items():
         if getattr(args, key, None) is None:

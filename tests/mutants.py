@@ -65,6 +65,7 @@ MC_RANGES = (f"{MC}::test_hits_independent_of_cpus_and_block",)
 MC_ERRORS = (f"{MC}::test_range_error_reaches_caller_and_threads_end",)
 FROM_VECTOR = ("tests/test_jointspace.py::TestFromVector",)
 RHO_X = ("tests/test_jointspace.py::TestBoundaryRhoX::test_nonpositive_slice_rejected",)
+CONFIG = "tests/test_cli.py::TestConfig"
 
 MUTANTS = [
     # workspace._path_columns, the trajectory's column pass
@@ -131,6 +132,13 @@ MUTANTS = [
     Mutant(CLI, "(tuple(rest[:1]), tuple(rest[:2]))", "(tuple(rest[:2]), tuple(rest[:1]))",
            DISPATCH, survives="no command name is the first word of another, so at most one "
                               "of the two lookups is in the registry"),
+    # cli._config: the file grammar and the ORTHOGLIDE_CONFIG default
+    Mutant(CLI, "if path == _FROM_ENV:", "if False:", (f"{CONFIG}::test_env_var_default_path",)),
+    Mutant(CLI, "if not path:", "if path is None:",
+           (f"{CONFIG}::test_empty_env_var_means_no_file",)),
+    Mutant(CLI, "if not (key or eq):", "if False:",
+           (f"{CONFIG}::test_comment_and_blank_lines_are_skipped",)),
+    Mutant(CLI, "if not eq:", "if False:", (f"{CONFIG}::test_line_without_equals_sign_exits_two",)),
     # workspace.monte_carlo_volumes: per-CPU PCG64 ranges in threads
     Mutant(WORKSPACE, ".advance(3 * start)", ".advance(3 * start + 3)", MC_RANGES),
     Mutant(WORKSPACE, "            t.join()", "            pass", MC_RANGES + MC_ERRORS),

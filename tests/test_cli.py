@@ -835,6 +835,41 @@ class TestConfig:
             f"orthoglide ik: error: argument --config: {cfg}:1: unknown key 'tolerance'"
         )
 
+    def test_empty_env_var_means_no_file(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORTHOGLIDE_CONFIG", "")
+        code, report = run_json(capsys, ["ik", "-L", "1", "-p", "0,0,0"])
+        assert code == 0
+        assert report["params"] == {"L": 1.0, "eps_geom": 1e-9, "eps_branch": 1e-9}
+
+    def test_comment_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "orthoglide.cfg"
+        cfg.write_text("# tolerances\n\n   \n\t\neps_geom = 1e-7  # relative\n  # end\n\n")
+        code, report = run_json(capsys, ["ik", "-L", "1", "-p", "0,0,0", "--config", str(cfg)])
+        assert code == 0
+        assert report["params"]["eps_geom"] == 1e-7
+
+    def test_line_without_equals_sign_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "orthoglide.cfg"
+        cfg.write_text("eps_geom = 1e-7\neps_branch 1e-8\n")
+        code, out, err = run_any(capsys, ["ik", "-L", "1", "-p", "0,0,0", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (f"orthoglide ik: error: argument --config: {cfg}:2: "
+                                        "expected key=value, got 'eps_branch 1e-8'")
+
+    def test_main_leaves_the_built_parsers_as_built(self, capsys, tmp_path, monkeypatch):
+        """The variable is read on each parse, not written into the parser
+        that ``main`` reuses."""
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text("eps_geom = 1e-7\n")
+        monkeypatch.setenv("ORTHOGLIDE_CONFIG", str(cfg))
+        _, report = run_json(capsys, ["ik", "-L", "1", "-p", "0,0,0"])
+        assert report["params"]["eps_geom"] == 1e-7
+
+        def defaults(parser):
+            return {names: c.get_default("config") for names, c in parser.commands.items()}
+
+        assert defaults(cli._built_by(cli.build_parser)) == defaults(cli.build_parser())
+
 
 class TestParserReuse:
     #: Every subcommand in JSON and CSV, a usage error midway, a repeated -w.
@@ -866,6 +901,26 @@ class TestParserReuse:
                                   capture_output=True, text=True, env=env, timeout=60)
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
         assert [code for code, _, _ in in_process].count(2) == 1
+
+    def test_env_var_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        """As above, under ORTHOGLIDE_CONFIG set to a good file, a bad one and ""."""
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text("eps_geom = 1e-7\nseed = 4\n")
+        bad.write_text("tolerance = 1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(orthoglide.__file__).resolve().parent.parent)}
+        argvs = [["ik", "-L", "1", "-p", "0,0,0"], ["volumes", "-L", "1", "--mc", "10000"],
+                 ["jointspace", "check", "-L", "1", "-r", "1,1,1"]]
+        codes = []
+        for value in (str(good), str(bad), ""):
+            monkeypatch.setenv("ORTHOGLIDE_CONFIG", value)
+            env["ORTHOGLIDE_CONFIG"] = value
+            for argv in argvs:
+                code, out, err = run_any(capsys, argv)
+                proc = subprocess.run([sys.executable, "-m", "orthoglide.cli", *argv],
+                                      capture_output=True, text=True, env=env, timeout=60)
+                assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+                codes.append(code)
+        assert codes == [0, 0, 0, 2, 2, 2, 0, 0, 0]
 
     def test_replaced_build_parser_is_used_until_restored(self, capsys, monkeypatch):
         original = cli.build_parser
@@ -975,27 +1030,20 @@ class TestCommandDispatch:
                     todo += [((*names, name), sub) for name, sub in action.choices.items()]
         assert len(found) == 6
         assert found == parser.commands
-        assert cli._parser()[1] == list(cli._parser()[0].commands.values())
 
-    def test_matches_argparse_on_drawn_argvs(self, tmp_path):
+    def test_matches_argparse_on_drawn_argvs(self, tmp_path, monkeypatch):
         good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
         good.write_text("eps_geom = 1e-7\nseed = 4\n")
         bad.write_text("tolerance = 1\n")
         configs = [str(good), str(bad), str(tmp_path / "missing.cfg")]
-        parser, commands = cli._parser()
+        parser = cli._built_by(cli.build_parser)
         rng = random.Random(20261018)
         parsed = 0
-        try:
-            for _ in range(2000):
-                # As main sets it from ORTHOGLIDE_CONFIG: none, or a bad file.
-                env_config = str(bad) if rng.random() < 0.1 else {}
-                for command in commands:
-                    command.set_defaults(config=env_config)
-                argv = self.draw(rng, configs)
-                want = self.outcome(lambda a: ArgumentParser.parse_known_args(parser, a), argv)
-                assert self.outcome(parser.parse_known_args, argv) == want, argv
-                parsed += want[0].startswith("(Namespace(")
-        finally:
-            for command in commands:
-                command.set_defaults(config={})
+        for _ in range(2000):
+            # ORTHOGLIDE_CONFIG: no file, or a bad one.
+            monkeypatch.setenv("ORTHOGLIDE_CONFIG", str(bad) if rng.random() < 0.1 else "")
+            argv = self.draw(rng, configs)
+            want = self.outcome(lambda a: ArgumentParser.parse_known_args(parser, a), argv)
+            assert self.outcome(parser.parse_known_args, argv) == want, argv
+            parsed += want[0].startswith("(Namespace(")
         assert parsed > 300
