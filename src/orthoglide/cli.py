@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
@@ -224,31 +224,45 @@ def _float_texts(values: Sequence[float], spell) -> list[str]:
 _CHUNK = 2**9
 
 
-def _chunks(fmt: str, n: int, row: Sequence[str], columns: Sequence,
-            nulls: tuple | None = None) -> Iterator[str]:
+def _chunks(fmt: str, n: int, columns: Sequence, layout: Callable[[int], str],
+            kind=None) -> Iterator[str]:
     """Rows 0 .. n - 1 of a long report, ``_CHUNK`` rows to a text.  Row r is
-    ``row[0]``, column 0's text, ``row[1]``, ... ``row[-1]``, and JSON rows are
-    separated by a comma and a newline.  A column is a float array, written by
+    ``layout(kind[r])`` (``layout(0)`` without ``kind``) with its ``%s`` slots
+    filled by the texts of the first columns, and JSON rows are separated by a
+    comma and a newline.  A column is a float array, written by
     ``_float_texts``, or a function from a slice of rows to their texts.  A
-    chunk is one list of pieces, the constant ones laid by repeating one row,
-    each column's put in by extended-slice assignment, then joined.  ``nulls =
-    (axis, at, spans)``: a row whose ``axis`` is a >= 0 gets ``spans[a]`` for
-    its pieces from place ``at`` on."""
+    chunk is one list of pieces: a row of the widest kind repeated, each
+    literal that differs between kinds put in by kind, each column's texts by
+    extended-slice assignment, then a narrower kind's own tail, from its last
+    literal on, over the rest of its row; then joined."""
+    import numpy as np
+
     spell, sep = (repr, "") if fmt == "csv" else (json.dumps, ",\n")
-    k = len(row) + len(columns)
-    unit = [sep + row[0], *chain.from_iterable(zip(repeat(None), row[1:]))]
+    kinds = [0] if kind is None else np.flatnonzero(np.bincount(kind)).tolist()
+    texts = {c: (sep + layout(c)).split("%s") for c in kinds}
+    k = 2 * max(map(len, texts.values())) - 1  # the pieces of a row
+    heads, tails = {}, {}
+    for c, literals in texts.items():  # each kind's literals, None in each column's place
+        head = heads[c] = [None] * (2 * len(literals) - 1)
+        head[::2] = literals
+        if len(head) < k:  # a narrower kind: from its last literal on, its own tail
+            heads[c], tails[c] = head[:-1], head[-1:] + [""] * (k - len(head))
+    unit = max(heads.values(), key=len)
+    lookups = [(p, {c: head[p] if p < len(head) else "" for c, head in heads.items()})
+               for p in range(0, k, 2) if len({h[p] for h in heads.values() if p < len(h)}) > 1]
+    narrow = np.isin(np.arange(kinds[-1] + 1), list(tails))
     for i in range(0, n, _CHUNK):
         s = slice(i, min(i + _CHUNK, n))
         pieces = unit * (s.stop - i)
-        pieces[0] = row[0]
-        for j, column in enumerate(columns):
+        row_kinds = () if kind is None else kind[s].tolist()
+        for p, table in lookups:
+            pieces[p::k] = map(table.__getitem__, row_kinds)
+        for j, column in enumerate(columns[:k // 2]):
             pieces[2 * j + 1::k] = column(s) if callable(column) else _float_texts(column[s], spell)
-        if nulls:
-            axis, at, spans = nulls
-            bad = axis[s]
-            for r in (bad >= 0).nonzero()[0].tolist():
-                span = spans[bad[r]]
-                pieces[r * k + at:r * k + at + len(span)] = span
+        for r in np.flatnonzero(narrow[kind[s]]).tolist() if tails else ():
+            tail = tails[row_kinds[r]]
+            pieces[(r + 1) * k - len(tail):(r + 1) * k] = tail
+        pieces[0] = pieces[0][len(sep):]
         yield "".join(pieces)
 
 
@@ -339,16 +353,6 @@ def cmd_dk(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # trajectory
 # ---------------------------------------------------------------------------
-#: ``singular_axes`` in JSON and in CSV, by the code x + 2y + 4z of the serial flags.
-_SINGULAR = [[a for k, a in enumerate(AXES) if code >> k & 1] for code in range(8)]
-_AXES_JSON, _AXES_CSV = [_template(a, 3) for a in _SINGULAR], [";".join(a) for a in _SINGULAR]
-#: A feasible step's JSON record, cut at its 11 fields.
-_RECORD = ("    " + _template({
-    "index": "%s", "p": ["%s"] * 3, "branch": "%s", "region": "%s", "singular_axes": "%s",
-    "rho": ["%s"] * 3, "joint_limits_ok": "%s", "infeasible": False}, 2)).split("%s")
-#: An infeasible step's JSON record from ``"rho"`` on, by its error axis.
-_NULL_RECORDS = ["," + _template({"rho": None, "joint_limits_ok": False, "infeasible": True,
-                                  "error_axis": a}, 2)[1:] for a in AXES]
 _TRAJECTORY_HEADER = ("index", "p_x", "p_y", "p_z", "rho_x", "rho_y", "rho_z",
                       "branch", "region", "singular_axes", "joint_limits_ok", "infeasible")
 
@@ -388,8 +392,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
                          "do not fit in memory") from None
     n = len(ok)
     failures = (~ok).nonzero()[0]
-    infeasible = axis >= 0
-    n_bad = int(infeasible.sum())
+    n_bad = int((axis >= 0).sum())
     report.update(records=[], summary={  # _emit writes the records in their place
         "feasible": not failures.size and aborted_at is None,
         "first_failure_index": int(failures[0]) if failures.size else None,
@@ -399,30 +402,27 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         "n_limit_violations": failures.size - n_bad,
         "n_infeasible_steps": n_bad,
     })
-    # The fields that are small codes come from one table, by one key of them
-    # all; an infeasible step has no joints.
+    # A step's kind codes its small fields; its record holds "%s" for each column's text.
     def index(s: slice):
         return map(str, range(s.start, s.stop))
 
-    key = region * 8 + codes
-    if args.fmt == "csv":
-        bools, regions = ("False", "True"), [r.value for r in _REGIONS]
-        table = list(map(",".join, product([branch.label], regions, _AXES_CSV, bools, bools)))
-        key = (key * 2 + ok) * 2 + infeasible
-        columns = [index, *points, *rho, _lookup(table, key.__getitem__)]
-        # An infeasible step's rho_x, rho_y and rho_z are blank: places 9 to 13.
-        row, nulls = ["", *[","] * 7, "\n"], (axis, 9, [["", ",", "", ",", ""]] * 3)
-    else:
-        # The branch, region and singular axes, with the record's text between them.
-        table = [f"{_json_str(branch.label)}{_RECORD[5]}{_json_str(r.value)}{_RECORD[6]}{a}"
-                 for r in _REGIONS for a in _AXES_JSON]
-        columns = [index, *points, _lookup(table, key.__getitem__), *rho,
-                   _lookup(("false", "true"), ok.__getitem__)]
-        row = [*_RECORD[:5], *_RECORD[7:]]
-        # An infeasible step's record from ``"rho"`` on, the row's last 9 places.
-        nulls = (axis, 10, [[text, *[""] * 8] for text in _NULL_RECORDS])
+    def layout(c: int) -> str:
+        (region, codes), ok, axis = divmod(c // 8, 8), c // 4 % 2, c % 4 - 1
+        r = {"index": "%s", "p": ["%s"] * 3, "branch": branch.label,
+             "region": _REGIONS[region].value,
+             "singular_axes": [a for k, a in enumerate(AXES) if codes >> k & 1],
+             "rho": ["%s"] * 3, "joint_limits_ok": ok == 1, "infeasible": False}
+        if axis >= 0:  # no joints
+            r.update(rho=None, infeasible=True, error_axis=AXES[axis])
+        if args.fmt == "json":
+            return "    " + _template(r, 2)
+        return ",".join(map(str, [r["index"], *r["p"], *(r["rho"] or [""] * 3), r["branch"],
+                                  r["region"], ";".join(r["singular_axes"]),
+                                  r["joint_limits_ok"], r["infeasible"]])) + "\n"
+
+    kind = ((region * 8 + codes) * 2 + ok) * 4 + axis + 1
     _emit(report, args.fmt, _TRAJECTORY_HEADER, key="records",
-          items=_chunks(args.fmt, n, row, columns, nulls))
+          items=_chunks(args.fmt, n, [index, *points, *rho], layout, kind))
     return EXIT_OK if report["summary"]["feasible"] else EXIT_INFEASIBLE
 
 
@@ -484,11 +484,9 @@ def cmd_jointspace_boundary(args: argparse.Namespace) -> int:
     angle = _float_texts(angles, repr if args.fmt == "csv" else json.dumps)
     phi = _lookup(angle, lambda s: np.arange(s.start, s.stop) // n)
     theta = _lookup(angle, lambda s: np.arange(s.start, s.stop) % n)
-    if args.fmt == "csv":
-        row = ["", *[","] * 5, "\n"]
-    else:
-        row = ("    " + _template(dict.fromkeys(_BOUNDARY_HEADER, "%s"), 2)).split("%s")
-    rows = _chunks(args.fmt, n * n, row, [phi, theta, *(c.ravel() for c in columns)])
+    row = (",".join(["%s"] * len(_BOUNDARY_HEADER)) + "\n" if args.fmt == "csv"
+           else "    " + _template(dict.fromkeys(_BOUNDARY_HEADER, "%s"), 2))
+    rows = _chunks(args.fmt, n * n, [phi, theta, *(c.ravel() for c in columns)], lambda _: row)
     _emit(report, args.fmt, _BOUNDARY_HEADER, key="rows", items=rows)
     return EXIT_OK
 

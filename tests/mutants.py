@@ -58,6 +58,7 @@ USAGE = ("tests/test_cli.py::test_usage_error_message",)
 CSV_VALUES = ("tests/test_cli.py::TestWriters::test_csv_is_csv_writer_of_the_json_values",)
 GOLDEN = ("tests/test_cli_golden.py::test_cli_bytes_are_golden",)
 BLOCKS = ("tests/test_cli.py::TestWriters::test_block_size_does_not_change_bytes",)
+LAYOUT = ("tests/test_cli.py::TestWriters::test_rows_are_the_layout_of_their_kind",)
 DISPATCH = ("tests/test_cli.py::TestCommandDispatch::test_matches_argparse_on_drawn_argvs",)
 NEGATIVE = ("tests/test_cli.py::test_negative_values_parse_as_values",)
 MC = "tests/test_workspace.py::TestMonteCarlo"
@@ -107,22 +108,25 @@ MUTANTS = [
     Mutant(CLI, "except MemoryError:  # a step", "except OverflowError:  # a step", USAGE),
     Mutant(CLI, "except MemoryError:  # a grid", "except OverflowError:  # a grid", USAGE),
     # cli: the long reports' row writer, its chunks, the JSON list's splice
-    Mutant(CLI, '*[""] * 8]', '*[""] * 7]', JSON_WRITER),
-    Mutant(CLI, '*[""] * 8]', '*[""] * 9]', JSON_WRITER),
-    Mutant(CLI, '"error_axis": a}, 2)[1:] for a in AXES]', '"error_axis": a}, 2)[1:] for a in "zyx"]',
-           RECORDS),
-    Mutant(CLI, "span = spans[bad[r]]", "span = spans[bad[r] - 1]", RECORDS),
-    Mutant(CLI, "                pieces[r * k + at:r * k + at + len(span)] = span\n", "",
+    Mutant(CLI, '[""] * (k - len(head))', '[""] * (k - len(head) - 1)', JSON_WRITER),
+    Mutant(CLI, '[""] * (k - len(head))', '[""] * (k - len(head) + 1)', JSON_WRITER),
+    Mutant(CLI, "error_axis=AXES[axis]", 'error_axis="zyx"[axis]', RECORDS),
+    Mutant(CLI, "tail = tails[row_kinds[r]]", "tail = tails[max(tails)]", RECORDS),
+    Mutant(CLI, "            pieces[(r + 1) * k - len(tail):(r + 1) * k] = tail\n", "",
            JSON_WRITER + CSV_VALUES),
-    Mutant(CLI, "        pieces[0] = row[0]\n", "", JSON_WRITER),
+    Mutant(CLI, "if len(head) < k:", "if len(head) < k - 2:", LAYOUT),
+    Mutant(CLI, "if p < len(h)}) > 1]", "if p < len(h)}) > 2]", LAYOUT),
+    Mutant(CLI, "        pieces[0] = pieces[0][len(sep):]\n", "", JSON_WRITER),
     Mutant(CLI, 'repeat(",\\n")', 'repeat(",")', JSON_WRITER + STREAM),
     Mutant(CLI, "slice(i, min(i + _CHUNK, n))", "slice(i, min(i + _CHUNK + 1, n))", BLOCKS),
     Mutant(CLI, "range(0, n, _CHUNK)", "range(0, n, _CHUNK - 1)", BLOCKS),
     Mutant(CLI, "map(str, range(s.start, s.stop))", "map(str, range(s.stop - s.start))", BLOCKS),
     Mutant(CLI, "map(str, range(s.start, s.stop))", "map(str, range(s.start + 1, s.stop + 1))",
            GOLDEN),
-    Mutant(CLI, "key = region * 8 + codes", "key = region * 8 + codes + 1", RECORDS),
-    Mutant(CLI, "key = (key * 2 + ok) * 2 + infeasible", "key = (key * 2 + ok + 1) * 2 + infeasible",
+    Mutant(CLI, "(region * 8 + codes)", "(region * 8 + codes + 1)", RECORDS),
+    Mutant(CLI, "* 2 + ok) * 4", "* 2 + ok + 1) * 4", RECORDS),
+    Mutant(CLI, "* 4 + axis + 1", "* 4 + axis + 2", RECORDS),
+    Mutant(CLI, 'r["joint_limits_ok"], r["infeasible"]]', 'r["infeasible"], r["joint_limits_ok"]]',
            CSV_VALUES),
     Mutant(CLI, "np.arange(s.start, s.stop) // n)", "np.arange(s.start, s.stop) % n)", GRID),
     # cli: the command registry and the direct dispatch that reads it

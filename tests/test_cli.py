@@ -662,6 +662,46 @@ class TestWriters:
         monkeypatch.setattr(cli, "_CHUNK", block)
         assert [run(capsys, argv) for argv in argvs] == want
 
+    @staticmethod
+    def layout(c):
+        """Kind c's row: (c + 3) % 4 of the three columns' slots, literals that
+        are the same for every kind and one that differs by the kind's
+        parity, then an end that is the kind's own."""
+        literals = ["(", f"[{c % 2}]", "|"][:(c + 3) % 4]
+        return "".join(f"{text}%s" for text in literals) + f"<{c}>"
+
+    @pytest.mark.parametrize("block", CHUNKS)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_are_the_layout_of_their_kind(self, monkeypatch, block, fmt):
+        """The row writer against a plain reference: row r is ``layout(c) %``
+        the texts of the first ``layout(c).count("%s")`` columns, c its kind,
+        and ``layout`` runs once for each kind a report holds.  The cases: many
+        kinds with a narrower one first, a report of one narrower kind only,
+        and a report with no kinds."""
+        monkeypatch.setattr(cli, "_CHUNK", block)
+        rng = np.random.default_rng(21)
+        n = 2 * max(self.CHUNKS) + 5
+        floats = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 20, (2, n))
+        floats[0, :3] = [math.inf, -math.nan, -0.0]
+        spell, sep = (repr, "") if fmt == "csv" else (json.dumps, ",\n")
+        texts = [(str(r), spell(x), spell(y)) for r, (x, y) in enumerate(floats.T.tolist())]
+        mixed = rng.integers(0, 12, n)
+        mixed[0] = 5
+        for kind in (mixed, np.full(n, 2), None):
+            calls = []
+
+            def layout(c):
+                calls.append(c)
+                return self.layout(c)
+
+            columns = [lambda s: map(str, range(s.start, s.stop)), *floats]
+            got = sep.join(cli._chunks(fmt, n, columns, layout, kind))
+            kinds = [0] * n if kind is None else kind.tolist()
+            assert sorted(calls) == sorted(set(kinds))
+            rows = [self.layout(c) % texts[r][:self.layout(c).count("%s")]
+                    for r, c in enumerate(kinds)]
+            assert got == sep.join(rows)
+
 
 class TestFloatTexts:
     """``_float_texts`` writes each float as ``repr`` or ``json.dumps`` does,
