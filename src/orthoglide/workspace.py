@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -261,13 +260,14 @@ def monte_carlo_volumes(
 
     Uses numpy's PCG64 generator (``default_rng(seed)``); the stream is
     consumed in fixed row-major order, so results are bit-identical for a
-    given seed regardless of internal block size or CPU count.  Each usable
-    CPU's thread takes one contiguous range of 2^14-row blocks, advancing
-    its own PCG64 to the range's first row, and keeps its working memory
-    near 1.35 MB at any ``n_samples``; numpy releases the GIL while drawing
-    and testing.  Sampling the full cube rather than one octant exercises
-    the C and S membership tests in every octant; W membership uses the
-    disjoint S-union-G decomposition.  Raises VolumeOutOfRange where the
+    given seed regardless of internal block size or CPU count.  The rows are
+    split into one contiguous range of 2^14-row blocks per usable CPU, run on
+    a ``ThreadPoolExecutor`` of that many workers (imported on first call);
+    each range advances its own PCG64 to its first row and keeps its working
+    memory near 1.35 MB at any ``n_samples``; numpy releases the GIL while
+    drawing and testing.  Sampling the full cube rather than one octant
+    exercises the C and S membership tests in every octant; W membership uses
+    the disjoint S-union-G decomposition.  Raises VolumeOutOfRange where the
     cube volume ``8 L^3`` is not a finite normal float.
     """
     if n_samples < 10_000:
@@ -278,27 +278,10 @@ def monte_carlo_volumes(
     blocks = -(-n_samples // _MC_BLOCK)
     k = min(_usable_cpus(), blocks)
     bounds = [min(n_samples, blocks * w // k * _MC_BLOCK) for w in range(k + 1)]
-    ranges: list = [None] * k  # each range's hits, or what it raised
+    from concurrent.futures import ThreadPoolExecutor  # lazy: it imports logging
 
-    def run(w: int) -> None:  # a thread's exception is re-raised below, after the joins
-        try:
-            ranges[w] = _mc_hits(ss, L, bounds[w], bounds[w + 1])
-        except BaseException as exc:
-            ranges[w] = exc
-
-    threads = []
-    try:
-        for w in range(1, k):
-            t = threading.Thread(target=run, args=(w,))
-            t.start()
-            threads.append(t)
-        ranges[0] = _mc_hits(ss, L, bounds[0], bounds[1])
-    finally:
-        for t in threads:
-            t.join()
-    for r in ranges:
-        if isinstance(r, BaseException):
-            raise r
+    with ThreadPoolExecutor(k) as pool:
+        ranges = list(pool.map(_mc_hits, [ss] * k, [L] * k, bounds, bounds[1:]))
     hits_C, hits_S, hits_G = (sum(col) for col in zip(*ranges))
 
     def estimate(hits: int) -> VolumeEstimate:

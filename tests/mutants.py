@@ -143,10 +143,14 @@ MUTANTS = [
     Mutant(CLI, "if not (key or eq):", "if False:",
            (f"{CONFIG}::test_comment_and_blank_lines_are_skipped",)),
     Mutant(CLI, "if not eq:", "if False:", (f"{CONFIG}::test_line_without_equals_sign_exits_two",)),
-    # workspace.monte_carlo_volumes: per-CPU PCG64 ranges in threads
+    # workspace.monte_carlo_volumes: per-CPU PCG64 ranges on a thread pool
     Mutant(WORKSPACE, ".advance(3 * start)", ".advance(3 * start + 3)", MC_RANGES),
-    Mutant(WORKSPACE, "            t.join()", "            pass", MC_RANGES + MC_ERRORS),
-    Mutant(WORKSPACE, "            raise r", "            pass", MC_ERRORS),
+    Mutant(WORKSPACE, "with ThreadPoolExecutor(k) as pool:", "if pool := ThreadPoolExecutor(k):",
+           MC_ERRORS),
+    Mutant(WORKSPACE, "[L] * k, bounds, bounds[1:]", "[L] * k, bounds[:1] * k, bounds[1:]",
+           MC_RANGES),
+    Mutant(WORKSPACE, "[L] * k, bounds, bounds[1:]", "[L] * k, bounds[:-1], bounds[1:]",
+           MC_RANGES, survives="map stops at its shortest iterable, which is bounds[1:]"),
     # SphericalDirection.from_vector and boundary_rho_x
     Mutant(JOINTSPACE, "0 < x < math.inf and", "0 < x and", FROM_VECTOR),
     Mutant(JOINTSPACE, "(math.ldexp(c, -math.frexp(max(x, y, z))[1]) for c in (x, y, z))",

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from argparse import ArgumentParser, _SubParsersAction
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import orthoglide
 from orthoglide import RadicandNegative, __version__, cli
 from orthoglide.cli import main
 from orthoglide.jointspace import SphericalDirection
+from orthoglide.workspace import _usable_cpus
 
 
 def run(capsys, argv):
@@ -763,26 +765,30 @@ def test_closed_pipe_exits_one_without_traceback(argv, fmt):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-def test_only_the_long_reports_import_orjson():
-    """``ik``, ``dk``, ``jointspace check`` and ``volumes`` start without
-    orjson's import; ``trajectory`` is the control that does import it."""
+def test_each_command_imports_only_its_own_optional_modules():
+    """orjson is imported by the long reports alone (``trajectory`` here) and
+    ``concurrent.futures`` by ``volumes --mc`` alone.  Both modules are
+    forgotten after each command, so each line names what its command imported."""
     code = """if True:
         import contextlib, io, sys
         import orthoglide.cli as cli
+        watched = ("orjson", "concurrent.futures")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv in (["ik", "-L", "1", "-p", "0.2,0.3,0.1"], ["dk", "-L", "1", "-r", "1,1,1"],
-                         ["jointspace", "check", "-L", "1", "-r", "1,1,1"],
-                         ["volumes", "-L", "1", "--mc", "10000"]):
+                         ["jointspace", "check", "-L", "1", "-r", "1,1,1"], ["volumes", "-L", "1"],
+                         ["volumes", "-L", "1", "--mc", "10000"],
+                         ["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.1,0,0", "--step", "0.05"]):
                 assert cli.main(argv) == 0, argv
-            print("orjson" in sys.modules, file=sys.__stdout__)
-            cli.main(["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.1,0,0", "--step", "0.05"])
-            print("orjson" in sys.modules, file=sys.__stdout__)
+                print(argv[0], *(m for m in watched if m in sys.modules), file=sys.__stdout__)
+                for name in [n for n in sys.modules if n.startswith(watched)]:
+                    del sys.modules[name]
     """
     env = {k: v for k, v in os.environ.items() if k != "ORTHOGLIDE_CONFIG"}
     env["PYTHONPATH"] = str(Path(orthoglide.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
+    lines = "ik\ndk\njointspace\nvolumes\nvolumes concurrent.futures\ntrajectory orjson\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, lines, "")
 
 
 class TestConfig:
@@ -911,6 +917,17 @@ class TestConfig:
         assert defaults(cli._built_by(cli.build_parser)) == defaults(cli.build_parser())
 
 
+def fresh_processes(argvs, envs):
+    """``python -m orthoglide.cli *argv`` under ``env``, each its own interpreter,
+    run at most one per usable CPU at a time; their CompletedProcesses in order."""
+    def fresh(argv, env):
+        return subprocess.run([sys.executable, "-m", "orthoglide.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        return list(pool.map(fresh, argvs, envs))
+
+
 class TestParserReuse:
     #: Every subcommand in JSON and CSV, a usage error midway, a repeated -w.
     ARGVS = [
@@ -936,9 +953,8 @@ class TestParserReuse:
         in_process = [run_any(capsys, argv) for argv in self.ARGVS]
         env = {k: v for k, v in os.environ.items() if k != "ORTHOGLIDE_CONFIG"}
         env["PYTHONPATH"] = str(Path(orthoglide.__file__).resolve().parent.parent)
-        for argv, (code, out, err) in zip(self.ARGVS, in_process):
-            proc = subprocess.run([sys.executable, "-m", "orthoglide.cli", *argv],
-                                  capture_output=True, text=True, env=env, timeout=60)
+        fresh = fresh_processes(self.ARGVS, [env] * len(self.ARGVS))
+        for argv, (code, out, err), proc in zip(self.ARGVS, in_process, fresh):
             assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
         assert [code for code, _, _ in in_process].count(2) == 1
 
@@ -950,17 +966,15 @@ class TestParserReuse:
         env = {**os.environ, "PYTHONPATH": str(Path(orthoglide.__file__).resolve().parent.parent)}
         argvs = [["ik", "-L", "1", "-p", "0,0,0"], ["volumes", "-L", "1", "--mc", "10000"],
                  ["jointspace", "check", "-L", "1", "-r", "1,1,1"]]
-        codes = []
+        in_process, envs = [], []
         for value in (str(good), str(bad), ""):
             monkeypatch.setenv("ORTHOGLIDE_CONFIG", value)
-            env["ORTHOGLIDE_CONFIG"] = value
-            for argv in argvs:
-                code, out, err = run_any(capsys, argv)
-                proc = subprocess.run([sys.executable, "-m", "orthoglide.cli", *argv],
-                                      capture_output=True, text=True, env=env, timeout=60)
-                assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
-                codes.append(code)
-        assert codes == [0, 0, 0, 2, 2, 2, 0, 0, 0]
+            in_process += [run_any(capsys, argv) for argv in argvs]
+            envs += [{**env, "ORTHOGLIDE_CONFIG": value}] * len(argvs)
+        fresh = fresh_processes(argvs * 3, envs)
+        for argv, (code, out, err), proc in zip(argvs * 3, in_process, fresh):
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 2, 2, 0, 0, 0]
 
     def test_replaced_build_parser_is_used_until_restored(self, capsys, monkeypatch):
         original = cli.build_parser

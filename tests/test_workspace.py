@@ -324,7 +324,7 @@ class TestMonteCarlo:
                 tail = np.random.Generator(bits).random((1000 - k, 3))
                 assert np.array_equal(tail.view(np.int64), rows[k:].view(np.int64)), (s, k)
 
-    @pytest.mark.parametrize("failing", ["first range", "later ranges"])
+    @pytest.mark.parametrize("failing", ["first range", "later ranges", "no range"])
     def test_range_error_reaches_caller_and_threads_end(self, unit_params, monkeypatch, failing):
         import orthoglide.workspace as ws
 
@@ -332,7 +332,7 @@ class TestMonteCarlo:
         real = ws._mc_hits
 
         def hits(ss, L, start, stop):
-            if (start > 0) == (failing == "later ranges"):
+            if failing != "no range" and (start > 0) == (failing == "later ranges"):
                 raised.append(MemoryError(f"range at {start}"))
                 raise raised[-1]
             time.sleep(0.05)  # still running when a first range fails
@@ -341,9 +341,13 @@ class TestMonteCarlo:
         monkeypatch.setattr(ws, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(ws, "_mc_hits", hits)
         before = threading.active_count()
-        with pytest.raises(MemoryError) as err:
-            monte_carlo_volumes(unit_params, 100_000, seed=1)
-        assert any(err.value is exc for exc in raised)
+        if failing == "no range":
+            mc = monte_carlo_volumes(unit_params, 100_000, seed=1)
+            assert (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits) == _per_row_hits(1.0, 100_000, 1)
+        else:
+            with pytest.raises(MemoryError) as err:
+                monte_carlo_volumes(unit_params, 100_000, seed=1)
+            assert any(err.value is exc for exc in raised)
         assert threading.active_count() == before
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
