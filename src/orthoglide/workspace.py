@@ -105,6 +105,17 @@ def _region_code(x, y, z, c_xy, c_xz, c_yz, r, L: float, band: float):
     return in_c + 2 * (in_c & (d < -band)) + (in_c & clear) * (2 * octant - 1)
 
 
+def _pair_radii(x, y, z, L: float, band: float):
+    """Yield hypot(x, y), hypot(x, z), hypot(y, z) by np.hypot, an ulp at most from math.hypot's,
+    which are redone within 2^-40 (c + L) + 2^-1074 of an edge L ± band: only there can an ulp
+    move a ``_region_code`` decision.  Columns with no NaN, under ``np.errstate(all="ignore")``."""
+    for u, v in ((x, y), (x, z), (y, z)):  # a pair at a time keeps the temporaries small
+        c = np.hypot(u, v)
+        near = abs(abs(c - L) - band) <= 2.0**-40 * (c + L) + 2.0**-1074
+        c[near] = list(map(math.hypot, u[near].tolist(), v[near].tolist()))
+        yield c
+
+
 def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, abort: bool):
     """The trajectory check of the path through ``waypoints``, ``counts[k]`` equal steps
     along segment k, as columns holding the scalar answers bit for bit: the points,
@@ -112,6 +123,7 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
     ``is_serial_singular`` as x + 2y + 4z, the axis ``ik_branch`` raises for (else -1)
     and ``classify_point``'s index into ``_REGIONS``; then the index ``abort`` stopped at,
     or None.  With ``abort`` the columns end at the first step that is singular or fails.
+    The pairwise radii are np.hypot's, with math.hypot redone near a region edge.
     Raises RadicandNegative for the first step in them with a NaN radicand."""
     L, band = params.L, params.eps_geom * params.L
     # Steps that overflow get inf and NaN columns, which are reported or raised on.
@@ -132,12 +144,10 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
         nan = np.isnan(rads[:, :n].sum(0))
         if nan.any():
             classify_point(CartesianPoint(*points[:, nan.argmax()].tolist()), params)
-        # The radii from math.hypot, as classify_point's: numpy's hypot rounds otherwise.
-        xs, ys, zs = points[:, :n].tolist()
-        c_xy, c_xz, c_yz = (np.fromiter(map(math.hypot, u, v), float, n)
-                            for u, v in ((xs, ys), (xs, zs), (ys, zs)))
+        # Radii by np.hypot, and by math.hypot where an ulp could cross an edge L ± band.
         x, y, z = points[:, :n]
-        region = _region_code(x, y, z, c_xy, c_xz, c_yz, np.sqrt(x * x + y * y + z * z), L, band)
+        region = _region_code(x, y, z, *_pair_radii(x, y, z, L, band),
+                              np.sqrt(x * x + y * y + z * z), L, band)
     axis = np.where(below.any(0), below.argmax(0), -1)[:n]
     aborted_at = n - 1 if abort and halted[n - 1] else None
     return points[:, :n], rho[:, :n], ok[:n], codes[:n], axis, region, aborted_at

@@ -49,6 +49,9 @@ TRAJECTORY = "tests/test_cli.py::TestTrajectoryCommand"
 SUMMARY = (f"{TRAJECTORY}::test_summary", f"{TRAJECTORY}::test_abort_policy_truncates")
 NAN_STEP = (f"{TRAJECTORY}::test_overflowing_radicands_stop_or_raise_without_warnings",)
 PATH_EDGES = ("tests/test_workspace.py::test_path_regions_at_the_region_edges",)
+PAIR_RADII = ("tests/test_workspace.py::test_pair_radii_decide_as_math_hypot",)
+CLEAR_PATH = ("tests/test_workspace.py::test_no_radius_is_redone_clear_of_every_edge",)
+SUBNORMAL_L = ("tests/test_workspace.py::test_path_region_at_a_subnormal_length",)
 FLOAT_TEXTS = ("tests/test_cli.py::TestFloatTexts",)
 SHORT_CSV = ("tests/test_cli.py::TestWriters"
              "::test_short_reports_are_csv_writer_of_the_json_values",)
@@ -76,7 +79,12 @@ MUTANTS = [
     Mutant(WORKSPACE, "np.isnan(rads[:, :n].sum(0))", "np.isnan(rads.sum(0))", NAN_STEP),
     Mutant(WORKSPACE, "np.isnan(rads[:, :n].sum(0))", "np.isnan(rads[:, :n - 1].sum(0))",
            NAN_STEP),
-    Mutant(WORKSPACE, "map(math.hypot, u, v)", "map(np.hypot, u, v)", PATH_EDGES),
+    # workspace._pair_radii: math.hypot redone only within 2^-40 (c + L) + 2^-1074 of an edge
+    Mutant(WORKSPACE, "c[near] = list(map(math.hypot", "list(map(math.hypot",
+           PATH_EDGES + PAIR_RADII),
+    Mutant(WORKSPACE, "<= 2.0**-40 * (c + L)", "<= 2.0**-60 * (c + L)", PATH_EDGES + PAIR_RADII),
+    Mutant(WORKSPACE, "<= 2.0**-40 * (c + L)", "<= 2.0**40 * (c + L)", CLEAR_PATH),
+    Mutant(WORKSPACE, " + 2.0**-1074\n", "\n", SUBNORMAL_L),
     # jointspace._boundary_grid: numpy's ** squares by multiplying, not by pow
     Mutant(JOINTSPACE, "_radius(*e, params.L, np.float_power, np.sqrt)",
            "_radius(*e, params.L, lambda v, k: v ** k, np.sqrt)", GRID),

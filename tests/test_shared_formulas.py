@@ -56,7 +56,7 @@ from orthoglide import (
 )
 from orthoglide.cli import main
 from orthoglide.jointspace import _radius
-from orthoglide.workspace import _REGIONS, _region_code
+from orthoglide.workspace import _REGIONS, _pair_radii, _region_code
 
 from oracles import early_return_region
 
@@ -324,11 +324,9 @@ def test_region_formula_makes_the_early_return_decisions(L, eps_geom):
                                                          WorkspaceRegion.SPHERE_INTERIOR}
     assert set(want) == reached
     scalar = [classify_point(CartesianPoint(*p), params) for p in pts]
-    xs, ys, zs = (list(c) for c in zip(*pts))
-    c_xy, c_xz, c_yz = (np.fromiter(map(math.hypot, u, v), float, len(pts))
-                        for u, v in ((xs, ys), (xs, zs), (ys, zs)))
-    x, y, z = np.array(xs), np.array(ys), np.array(zs)
+    x, y, z = np.array(pts).T
     with np.errstate(all="ignore"):
+        c_xy, c_xz, c_yz = _pair_radii(x, y, z, L, band)
         r = np.sqrt(x * x + y * y + z * z)
         column = [_REGIONS[k] for k in _region_code(x, y, z, c_xy, c_xz, c_yz, r, L, band).tolist()]
     assert [(p, s) for p, s, w in zip(pts, scalar, want) if s is not w] == []

@@ -25,7 +25,7 @@ from orthoglide import (
     monte_carlo_volumes,
     workspace_volumes,
 )
-from orthoglide.workspace import _REGIONS, _path_columns
+from orthoglide.workspace import _REGIONS, _pair_radii, _path_columns
 
 from test_shared_formulas import REGION_LENGTHS, region_edge_points
 
@@ -171,6 +171,70 @@ def test_path_regions_at_the_region_edges(L, eps_geom):
                                           False)
     assert [_REGIONS[k] for k in region.tolist()] == [
         classify_point(CartesianPoint(*p), params) for p in zip(*points.tolist())]
+
+
+# Signed zeros, subnormals, the smallest normal, 1e±300, near the largest double, inf.
+EXTREMES = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300,
+            -1e300, 1.7e308, -1.7976931348623157e308, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("eps_geom", [1e-9, 1e-15, 2**-30])
+@pytest.mark.parametrize("L", REGION_LENGTHS)
+def test_pair_radii_decide_as_math_hypot(L, eps_geom):
+    """``_pair_radii`` gives math.hypot's bits wherever an ulp could move a region
+    decision, and elsewhere a radius at most an ulp away that decides the same, on the
+    region edge points and on every point with coordinates from ``EXTREMES``."""
+    band = eps_geom * L
+    pts = region_edge_points(L, band, random.Random(2026))
+    pts += itertools.product(EXTREMES, repeat=3)
+    x, y, z = np.array(pts).T
+    with np.errstate(all="ignore"):
+        got = [c.tolist() for c in _pair_radii(x, y, z, L, band)]
+    wrong = []
+    for row, (u, v) in zip(got, ((x, y), (x, z), (y, z))):
+        for c, a, b in zip(row, u.tolist(), v.tolist()):
+            want = math.hypot(a, b)
+            if abs(abs(want - L) - band) <= 2.0**-41 * (want + L):
+                ok = c.hex() == want.hex()
+            else:
+                ok = (abs(c - want) <= math.ulp(want) and (c <= L + band) == (want <= L + band)
+                      and (abs(c - L) > band) == (abs(want - L) > band))
+            if not ok:
+                wrong.append((a, b, c, want))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("uv", [(6.83094097357e-313, 4.38336409844e-313),
+                                (4.13398683576e-313, 3.5214040499e-313),
+                                (7.3559298754e-313, 9.75005643714e-313),
+                                (9.72704370287e-313, 8.7719448583e-313)])
+def test_path_region_at_a_subnormal_length(uv):
+    """At these subnormal L = math.hypot(u, v), 2^-40 (c + L) rounds to 0 and np.hypot's
+    radius is an ulp above L, across the edge at L + band = L: the window's floor of one
+    subnormal ulp still redoes it, so the step keeps classify_point's region."""
+    params = ManipulatorParams(math.hypot(*uv), eps_geom=1e-15)
+    *_, region, _ = _path_columns([(0.0, 0.0, 0.0), (*uv, 0.0)], [1], PPP, params, False)
+    assert _REGIONS[region[1]] is classify_point(CartesianPoint(*uv, 0.0), params)
+
+
+@pytest.mark.parametrize("L", REGION_LENGTHS)
+def test_no_radius_is_redone_clear_of_every_edge(L, monkeypatch):
+    """On a seeded path across the cylinder walls whose pairwise radii all stay 1e-6 L
+    or more clear of every edge L ± band, math.hypot is redone for no step."""
+    rng = random.Random(23)
+    waypoints = [tuple(rng.uniform(-1.2, 1.2) * L for _ in range(3)) for _ in range(8)]
+    params = ManipulatorParams(L)
+    band = params.eps_geom * L
+    calls = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda a, b: calls.append((a, b)) or hypot(a, b))
+    points, *_ = _path_columns(waypoints, [500] * 7, PPP, params, False)
+    monkeypatch.undo()
+    x, y, z = points
+    c = np.hypot([x, x, y], [y, z, z])
+    assert (c < L - band).any() and (c > L + band).any()
+    assert abs(abs(c - L) - band).min() >= 1e-6 * L
+    assert calls == []
 
 
 class TestVolumes:
