@@ -204,6 +204,9 @@ class ManipulatorParams:
             raise ValueError(f"eps_geom must be in (0, 1e-3), got {self.eps_geom!r}")
         if self.eps_branch is None:
             object.__setattr__(self, "eps_branch", 1e-9 * self.L)
+            if self.eps_branch == 0.0:
+                raise ValueError(f"L = {self.L!r} is too small: the default eps_branch, "
+                                 "1e-9 * L, underflows to 0")
         if not 0 < self.eps_branch < self.L * 1e-3:
             raise ValueError(f"eps_branch must be in (0, L*1e-3), got {self.eps_branch!r}")
 

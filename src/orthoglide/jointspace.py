@@ -89,18 +89,6 @@ def _radius(ex, ey, ez, L, power, sqrt):
     return 2.0 * L * sqrt(F / (F - 1.0))
 
 
-def _radius_along(e: tuple[float, float, float], params: ManipulatorParams) -> float:
-    """``boundary_radius`` along the unit vector ``e``."""
-    ex, ey, ez = e
-    if not (ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
-        raise DirectionOnOctantBorder(f"direction {e} has a component below {_MIN_COMPONENT:g}")
-    t = _radius(ex, ey, ez, params.L, pow, math.sqrt)
-    if t < math.inf:
-        return t
-    raise _RadiusOutOfRange(f"L = {params.L!r} is out of range: "
-                            f"the boundary radius along {e} overflows")
-
-
 def boundary_radius(dir: SphericalDirection, params: ManipulatorParams) -> float:
     """Distance from the origin to the boundary surface along ``dir``.
 
@@ -111,7 +99,14 @@ def boundary_radius(dir: SphericalDirection, params: ManipulatorParams) -> float
     positive, or below 1.3e-154, where F overflows.  An overflowing radius
     (L above about 8.5e307) raises a KinematicsError that is also a ValueError.
     """
-    return _radius_along(dir.unit_vector(), params)
+    ex, ey, ez = e = dir.unit_vector()
+    if not (ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
+        raise DirectionOnOctantBorder(f"direction {e} has a component below {_MIN_COMPONENT:g}")
+    t = _radius(ex, ey, ez, params.L, pow, math.sqrt)
+    if t < math.inf:
+        return t
+    raise _RadiusOutOfRange(f"L = {params.L!r} is out of range: "
+                            f"the boundary radius along {e} overflows")
 
 
 def _boundary_grid(n: int, params: ManipulatorParams) -> tuple:
@@ -134,8 +129,8 @@ def _boundary_grid(n: int, params: ManipulatorParams) -> tuple:
 
 def boundary_joint_vector(dir: SphericalDirection, params: ManipulatorParams) -> JointVector:
     """The boundary point itself: ``boundary_radius(dir) * e``."""
-    ex, ey, ez = e = dir.unit_vector()
-    t = _radius_along(e, params)
+    ex, ey, ez = dir.unit_vector()
+    t = boundary_radius(dir, params)
     return JointVector(t * ex, t * ey, t * ez)
 
 

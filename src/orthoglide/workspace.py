@@ -71,13 +71,10 @@ def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceReg
     indeterminate and no count is asserted.  Raises RadicandNegative for a
     point with a NaN coordinate.
     """
-    rads = _radicands(p, params.L)
-    if math.isnan(rads[0] + rads[1] + rads[2]):  # only then pay the call that raises
-        _real(p, rads)
+    _real(p, _radicands(p, params.L))
     x, y, z = p
-    code = _region_code(x, y, z, math.hypot(x, y), math.hypot(x, z), math.hypot(y, z),
-                        math.sqrt(x * x + y * y + z * z), params.L, params.eps_geom * params.L)
-    return _REGIONS[code]
+    return _REGIONS[_region_code(x, y, z, params.L, params.eps_geom * params.L, math.hypot,
+                                 math.sqrt)]
 
 
 #: Regions by the code ``_region_code`` gives them.
@@ -85,10 +82,10 @@ _REGIONS = (WorkspaceRegion.OUTSIDE, WorkspaceRegion.BOUNDARY_BAND, WorkspaceReg
             WorkspaceRegion.SPHERE_INTERIOR)
 
 
-def _region_code(x, y, z, c_xy, c_xz, c_yz, r, L: float, band: float):
-    """``_REGIONS`` index of a point with no NaN coordinate, from its pairwise
-    radii ``c_*``, its radius ``r`` and ``band = eps_geom * L``; floats or
-    arrays alike, so the tests are comparisons joined by ``&``.
+def _region_code(x, y, z, L: float, band: float, hypot, sqrt):
+    """``_REGIONS`` index of a point with no NaN coordinate, given ``band = eps_geom * L``:
+    floats with ``math.hypot`` and ``math.sqrt``, or columns with ``_column_hypot(L, band)``
+    and ``np.sqrt`` alike, so the tests are comparisons joined by ``&``.
 
     Outside C (grown by the band) a point is outside (0).  In it, a point is
     in the ball (3) short of the sphere's band; past that band and clear of
@@ -96,24 +93,26 @@ def _region_code(x, y, z, c_xy, c_xz, c_yz, r, L: float, band: float):
     in the open first octant and outside (0) elsewhere; any other point is
     in the band (1).
     """
+    c_xy, c_xz, c_yz = hypot(x, y), hypot(x, z), hypot(y, z)
     out = L + band
     in_c = (c_xy <= out) & (c_xz <= out) & (c_yz <= out)
-    d = r - L
+    d = sqrt(x * x + y * y + z * z) - L
     clear = ((d > band) & (abs(c_xy - L) > band) & (abs(c_xz - L) > band)
              & (abs(c_yz - L) > band) & (abs(x) > band) & (abs(y) > band) & (abs(z) > band))
     octant = (x > 0) & (y > 0) & (z > 0)
     return in_c + 2 * (in_c & (d < -band)) + (in_c & clear) * (2 * octant - 1)
 
 
-def _pair_radii(x, y, z, L: float, band: float):
-    """Yield hypot(x, y), hypot(x, z), hypot(y, z) by np.hypot, an ulp at most from math.hypot's,
-    which are redone within 2^-40 (c + L) + 2^-1074 of an edge L ± band: only there can an ulp
-    move a ``_region_code`` decision.  Columns with no NaN, under ``np.errstate(all="ignore")``."""
-    for u, v in ((x, y), (x, z), (y, z)):  # a pair at a time keeps the temporaries small
+def _column_hypot(L: float, band: float):
+    """The columns' hypot for ``_region_code``: np.hypot, an ulp at most from math.hypot,
+    which is redone within 2^-40 (c + L) + 2^-1074 of an edge L ± band: only there can an ulp
+    move a decision.  Columns with no NaN, under ``np.errstate(all="ignore")``."""
+    def hypot(u, v):
         c = np.hypot(u, v)
         near = abs(abs(c - L) - band) <= 2.0**-40 * (c + L) + 2.0**-1074
         c[near] = list(map(math.hypot, u[near].tolist(), v[near].tolist()))
-        yield c
+        return c
+    return hypot
 
 
 def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, abort: bool):
@@ -123,7 +122,6 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
     ``is_serial_singular`` as x + 2y + 4z, the axis ``ik_branch`` raises for (else -1)
     and ``classify_point``'s index into ``_REGIONS``; then the index ``abort`` stopped at,
     or None.  With ``abort`` the columns end at the first step that is singular or fails.
-    The pairwise radii are np.hypot's, with math.hypot redone near a region edge.
     Raises RadicandNegative for the first step in them with a NaN radicand."""
     L, band = params.L, params.eps_geom * params.L
     # Steps that overflow get inf and NaN columns, which are reported or raised on.
@@ -144,10 +142,7 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
         nan = np.isnan(rads[:, :n].sum(0))
         if nan.any():
             classify_point(CartesianPoint(*points[:, nan.argmax()].tolist()), params)
-        # Radii by np.hypot, and by math.hypot where an ulp could cross an edge L ± band.
-        x, y, z = points[:, :n]
-        region = _region_code(x, y, z, *_pair_radii(x, y, z, L, band),
-                              np.sqrt(x * x + y * y + z * z), L, band)
+        region = _region_code(*points[:, :n], L, band, _column_hypot(L, band), np.sqrt)
     axis = np.where(below.any(0), below.argmax(0), -1)[:n]
     aborted_at = n - 1 if abort and halted[n - 1] else None
     return points[:, :n], rho[:, :n], ok[:n], codes[:n], axis, region, aborted_at

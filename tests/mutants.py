@@ -49,7 +49,7 @@ TRAJECTORY = "tests/test_cli.py::TestTrajectoryCommand"
 SUMMARY = (f"{TRAJECTORY}::test_summary", f"{TRAJECTORY}::test_abort_policy_truncates")
 NAN_STEP = (f"{TRAJECTORY}::test_overflowing_radicands_stop_or_raise_without_warnings",)
 PATH_EDGES = ("tests/test_workspace.py::test_path_regions_at_the_region_edges",)
-PAIR_RADII = ("tests/test_workspace.py::test_pair_radii_decide_as_math_hypot",)
+COLUMN_HYPOT = ("tests/test_workspace.py::test_column_hypot_decides_as_math_hypot",)
 CLEAR_PATH = ("tests/test_workspace.py::test_no_radius_is_redone_clear_of_every_edge",)
 SUBNORMAL_L = ("tests/test_workspace.py::test_path_region_at_a_subnormal_length",)
 FLOAT_TEXTS = ("tests/test_cli.py::TestFloatTexts",)
@@ -69,6 +69,7 @@ MC_RANGES = (f"{MC}::test_hits_independent_of_cpus_and_block",)
 MC_ERRORS = (f"{MC}::test_range_error_reaches_caller_and_threads_end",)
 FROM_VECTOR = ("tests/test_jointspace.py::TestFromVector",)
 RHO_X = ("tests/test_jointspace.py::TestBoundaryRhoX::test_nonpositive_slice_rejected",)
+BISECTOR = ("tests/test_jointspace.py::TestBoundaryRadius::test_bisector",)
 CONFIG = "tests/test_cli.py::TestConfig"
 
 MUTANTS = [
@@ -79,16 +80,20 @@ MUTANTS = [
     Mutant(WORKSPACE, "np.isnan(rads[:, :n].sum(0))", "np.isnan(rads.sum(0))", NAN_STEP),
     Mutant(WORKSPACE, "np.isnan(rads[:, :n].sum(0))", "np.isnan(rads[:, :n - 1].sum(0))",
            NAN_STEP),
-    # workspace._pair_radii: math.hypot redone only within 2^-40 (c + L) + 2^-1074 of an edge
+    # workspace._column_hypot: math.hypot redone only within 2^-40 (c + L) + 2^-1074 of an edge
     Mutant(WORKSPACE, "c[near] = list(map(math.hypot", "list(map(math.hypot",
-           PATH_EDGES + PAIR_RADII),
-    Mutant(WORKSPACE, "<= 2.0**-40 * (c + L)", "<= 2.0**-60 * (c + L)", PATH_EDGES + PAIR_RADII),
+           PATH_EDGES + COLUMN_HYPOT),
+    Mutant(WORKSPACE, "<= 2.0**-40 * (c + L)", "<= 2.0**-60 * (c + L)",
+           PATH_EDGES + COLUMN_HYPOT),
     Mutant(WORKSPACE, "<= 2.0**-40 * (c + L)", "<= 2.0**40 * (c + L)", CLEAR_PATH),
     Mutant(WORKSPACE, " + 2.0**-1074\n", "\n", SUBNORMAL_L),
     # jointspace._boundary_grid: numpy's ** squares by multiplying, not by pow
     Mutant(JOINTSPACE, "_radius(*e, params.L, np.float_power, np.sqrt)",
            "_radius(*e, params.L, lambda v, k: v ** k, np.sqrt)", GRID),
-    # workspace._region_code
+    # workspace._region_code: its own radii, then the edges
+    Mutant(WORKSPACE, "hypot(x, y), hypot(x, z), hypot(y, z)",
+           "hypot(x, y), hypot(x, y), hypot(y, z)", REGION_EDGES),
+    Mutant(WORKSPACE, "sqrt(x * x + y * y + z * z)", "sqrt(x * x + y * y)", REGION_EDGES),
     Mutant(WORKSPACE, " & (abs(x) > band) & (abs(y) > band) & (abs(z) > band))", ")",
            REGION_EDGES),
     Mutant(WORKSPACE, "(abs(c_xy - L) > band) & (abs(c_xz - L) > band)\n"
@@ -159,7 +164,8 @@ MUTANTS = [
            MC_RANGES),
     Mutant(WORKSPACE, "[L] * k, bounds, bounds[1:]", "[L] * k, bounds[:-1], bounds[1:]",
            MC_RANGES, survives="map stops at its shortest iterable, which is bounds[1:]"),
-    # SphericalDirection.from_vector and boundary_rho_x
+    # boundary_joint_vector, SphericalDirection.from_vector and boundary_rho_x
+    Mutant(JOINTSPACE, "t = boundary_radius(dir, params)", "t = 2.0 * params.L", BISECTOR),
     Mutant(JOINTSPACE, "0 < x < math.inf and", "0 < x and", FROM_VECTOR),
     Mutant(JOINTSPACE, "(math.ldexp(c, -math.frexp(max(x, y, z))[1]) for c in (x, y, z))",
            "(x, y, z)", FROM_VECTOR),

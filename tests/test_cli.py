@@ -90,6 +90,8 @@ def test_negative_values_parse_as_values(capsys, argv, code):
         (["volumes", "-L", "1", "--mc", "10000"], "seed = -1\n",
          "seed must be a non-negative integer, got -1"),
         (["ik", "-L", "-1", "-p", "0,0,0"], None, "L must be finite and positive, got -1.0"),
+        (["ik", "-L", "1e-320", "-p", "0,0,0"], None,
+         "L = 1e-320 is too small: the default eps_branch, 1e-9 * L, underflows to 0"),
         (["ik", "-L", "1", "-p", "0,0,0", "--eps-geom", "0.5"], None,
          "eps_geom must be in (0, 1e-3), got 0.5"),
         (["dk", "-L", "1", "-r", "0,1,1"], None,

@@ -41,6 +41,19 @@ class TestManipulatorParams:
         with pytest.raises(ValueError):
             ManipulatorParams(L=1.0, eps_branch=eps)
 
+    @pytest.mark.parametrize("L", [2.4e-315, 1e-320, 5e-324])
+    def test_default_eps_branch_underflow_names_L(self, L):
+        """Below about 2.47e-315 the default 1e-9 * L underflows to 0: the error names
+        L and the default, not an eps_branch that was never given."""
+        with pytest.raises(ValueError) as exc:
+            ManipulatorParams(L=L)
+        assert str(exc.value) == (f"L = {L!r} is too small: the default eps_branch, "
+                                  "1e-9 * L, underflows to 0")
+
+    def test_tiny_length_with_its_own_eps_branch(self):
+        assert ManipulatorParams(L=2.4e-315, eps_branch=5e-324).eps_branch == 5e-324
+        assert ManipulatorParams(L=2.5e-315).eps_branch == 1e-9 * 2.5e-315 > 0.0
+
 
 class TestBranch:
     def test_label_roundtrip(self):

@@ -239,6 +239,12 @@ def test_overflowing_quotient_raises_from_equidistant_point_and_plane_eval(axis)
     assert plane_eval(CartesianPoint(1e-10, 0.0, 0.0), tiny) == 1e-10 / 1e-300 - 1.0
 
 
+def test_overflowing_sum_of_finite_quotients_is_inf():
+    """Each quotient fits but their sum overflows: the plane value is inf, with no
+    joint to blame, so no ZeroJoint is raised."""
+    assert plane_eval(CartesianPoint(1e308, 1e308, 0.0), JointVector(1.0, 1.0, 1.0)) == math.inf
+
+
 class TestInvariants:
     def test_midline_point_on_plane(self, unit_params):
         rng = np.random.default_rng(7)

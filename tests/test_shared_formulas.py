@@ -56,7 +56,7 @@ from orthoglide import (
 )
 from orthoglide.cli import main
 from orthoglide.jointspace import _radius
-from orthoglide.workspace import _REGIONS, _pair_radii, _region_code
+from orthoglide.workspace import _REGIONS, _column_hypot, _region_code
 
 from oracles import early_return_region
 
@@ -326,9 +326,8 @@ def test_region_formula_makes_the_early_return_decisions(L, eps_geom):
     scalar = [classify_point(CartesianPoint(*p), params) for p in pts]
     x, y, z = np.array(pts).T
     with np.errstate(all="ignore"):
-        c_xy, c_xz, c_yz = _pair_radii(x, y, z, L, band)
-        r = np.sqrt(x * x + y * y + z * z)
-        column = [_REGIONS[k] for k in _region_code(x, y, z, c_xy, c_xz, c_yz, r, L, band).tolist()]
+        codes = _region_code(x, y, z, L, band, _column_hypot(L, band), np.sqrt)
+    column = [_REGIONS[k] for k in codes.tolist()]
     assert [(p, s) for p, s, w in zip(pts, scalar, want) if s is not w] == []
     assert [(p, c) for p, c, w in zip(pts, column, want) if c is not w] == []
 

@@ -25,7 +25,7 @@ from orthoglide import (
     monte_carlo_volumes,
     workspace_volumes,
 )
-from orthoglide.workspace import _REGIONS, _pair_radii, _path_columns
+from orthoglide.workspace import _REGIONS, _column_hypot, _path_columns
 
 from test_shared_formulas import REGION_LENGTHS, region_edge_points
 
@@ -180,18 +180,19 @@ EXTREMES = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1e-3
 
 @pytest.mark.parametrize("eps_geom", [1e-9, 1e-15, 2**-30])
 @pytest.mark.parametrize("L", REGION_LENGTHS)
-def test_pair_radii_decide_as_math_hypot(L, eps_geom):
-    """``_pair_radii`` gives math.hypot's bits wherever an ulp could move a region
+def test_column_hypot_decides_as_math_hypot(L, eps_geom):
+    """``_column_hypot`` gives math.hypot's bits wherever an ulp could move a region
     decision, and elsewhere a radius at most an ulp away that decides the same, on the
     region edge points and on every point with coordinates from ``EXTREMES``."""
     band = eps_geom * L
     pts = region_edge_points(L, band, random.Random(2026))
     pts += itertools.product(EXTREMES, repeat=3)
     x, y, z = np.array(pts).T
+    pairs, hypot = ((x, y), (x, z), (y, z)), _column_hypot(L, band)
     with np.errstate(all="ignore"):
-        got = [c.tolist() for c in _pair_radii(x, y, z, L, band)]
+        got = [hypot(u, v).tolist() for u, v in pairs]
     wrong = []
-    for row, (u, v) in zip(got, ((x, y), (x, z), (y, z))):
+    for row, (u, v) in zip(got, pairs):
         for c, a, b in zip(row, u.tolist(), v.tolist()):
             want = math.hypot(a, b)
             if abs(abs(want - L) - band) <= 2.0**-41 * (want + L):
