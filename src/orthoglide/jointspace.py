@@ -99,7 +99,12 @@ def boundary_radius(dir: SphericalDirection, params: ManipulatorParams) -> float
     positive, or below 1.3e-154, where F overflows.  An overflowing radius
     (L above about 8.5e307) raises a KinematicsError that is also a ValueError.
     """
-    ex, ey, ez = e = dir.unit_vector()
+    return _radius_of(dir.unit_vector(), params)
+
+
+def _radius_of(e: tuple[float, float, float], params: ManipulatorParams) -> float:
+    """``boundary_radius`` along ``dir``'s unit vector ``e``; raises as it does."""
+    ex, ey, ez = e
     if not (ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
         raise DirectionOnOctantBorder(f"direction {e} has a component below {_MIN_COMPONENT:g}")
     t = _radius(ex, ey, ez, params.L, pow, math.sqrt)
@@ -129,8 +134,8 @@ def _boundary_grid(n: int, params: ManipulatorParams) -> tuple:
 
 def boundary_joint_vector(dir: SphericalDirection, params: ManipulatorParams) -> JointVector:
     """The boundary point itself: ``boundary_radius(dir) * e``."""
-    ex, ey, ez = dir.unit_vector()
-    t = boundary_radius(dir, params)
+    ex, ey, ez = e = dir.unit_vector()
+    t = _radius_of(e, params)
     return JointVector(t * ex, t * ey, t * ez)
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import Branch, CartesianPoint, ManipulatorParams, VolumeOutOfRange, joint_limits_ok
 from .inverse import _branch_joints, _radicands, _real, _singular_axes
 
@@ -107,6 +105,8 @@ def _column_hypot(L: float, band: float):
     """The columns' hypot for ``_region_code``: np.hypot, an ulp at most from math.hypot,
     which is redone within 2^-40 (c + L) + 2^-1074 of an edge L ± band: only there can an ulp
     move a decision.  Columns with no NaN, under ``np.errstate(all="ignore")``."""
+    import numpy as np
+
     def hypot(u, v):
         c = np.hypot(u, v)
         near = abs(abs(c - L) - band) <= 2.0**-40 * (c + L) + 2.0**-1074
@@ -123,6 +123,8 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
     and ``classify_point``'s index into ``_REGIONS``; then the index ``abort`` stopped at,
     or None.  With ``abort`` the columns end at the first step that is singular or fails.
     Raises RadicandNegative for the first step in them with a NaN radicand."""
+    import numpy as np
+
     L, band = params.L, params.eps_geom * params.L
     # Steps that overflow get inf and NaN columns, which are reported or raised on.
     with np.errstate(all="ignore"):
@@ -238,6 +240,8 @@ def _usable_cpus() -> int:
 def _mc_hits(ss: np.random.SeedSequence, L: float, start: int, stop: int) -> tuple[int, int, int]:
     """C, S and G hits among rows ``start:stop`` of ``default_rng(ss)``'s
     cube samples, drawn a block at a time into one reused buffer."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(ss).advance(3 * start))  # a draw per coordinate
     L2 = L * L
     buf = np.empty((min(_MC_BLOCK, stop - start), 3))
@@ -273,12 +277,15 @@ def monte_carlo_volumes(
     drawing and testing.  Sampling the full cube rather than one octant
     exercises the C and S membership tests in every octant; W membership uses
     the disjoint S-union-G decomposition.  Raises VolumeOutOfRange where the
-    cube volume ``8 L^3`` is not a finite normal float.
+    cube volume ``8 L^3`` is not a finite normal float.  numpy, like the
+    executor, is imported on the first call, not with the module.
     """
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
     L = params.L
     cube = _volume("cube", 8.0, L)
+    import numpy as np  # on this thread, before the pool: its workers only look it up
+
     ss = np.random.SeedSequence(seed)
     blocks = -(-n_samples // _MC_BLOCK)
     k = min(_usable_cpus(), blocks)

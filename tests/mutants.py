@@ -71,6 +71,8 @@ FROM_VECTOR = ("tests/test_jointspace.py::TestFromVector",)
 RHO_X = ("tests/test_jointspace.py::TestBoundaryRhoX::test_nonpositive_slice_rejected",)
 BISECTOR = ("tests/test_jointspace.py::TestBoundaryRadius::test_bisector",)
 CONFIG = "tests/test_cli.py::TestConfig"
+NO_NUMPY = ("tests/test_cli.py::test_each_command_imports_only_its_own_optional_modules",
+            "tests/test_cli.py::test_scalar_library_calls_import_no_numpy")
 
 MUTANTS = [
     # workspace._path_columns, the trajectory's column pass
@@ -156,6 +158,9 @@ MUTANTS = [
     Mutant(CLI, "if not (key or eq):", "if False:",
            (f"{CONFIG}::test_comment_and_blank_lines_are_skipped",)),
     Mutant(CLI, "if not eq:", "if False:", (f"{CONFIG}::test_line_without_equals_sign_exits_two",)),
+    # workspace: numpy is imported by the functions that make arrays, not with the module
+    Mutant(WORKSPACE, "from typing import NamedTuple\n", "from typing import NamedTuple\n"
+           "import numpy\n", NO_NUMPY),
     # workspace.monte_carlo_volumes: per-CPU PCG64 ranges on a thread pool
     Mutant(WORKSPACE, ".advance(3 * start)", ".advance(3 * start + 3)", MC_RANGES),
     Mutant(WORKSPACE, "with ThreadPoolExecutor(k) as pool:", "if pool := ThreadPoolExecutor(k):",
@@ -165,7 +170,7 @@ MUTANTS = [
     Mutant(WORKSPACE, "[L] * k, bounds, bounds[1:]", "[L] * k, bounds[:-1], bounds[1:]",
            MC_RANGES, survives="map stops at its shortest iterable, which is bounds[1:]"),
     # boundary_joint_vector, SphericalDirection.from_vector and boundary_rho_x
-    Mutant(JOINTSPACE, "t = boundary_radius(dir, params)", "t = 2.0 * params.L", BISECTOR),
+    Mutant(JOINTSPACE, "t = _radius_of(e, params)", "t = 2.0 * params.L", BISECTOR),
     Mutant(JOINTSPACE, "0 < x < math.inf and", "0 < x and", FROM_VECTOR),
     Mutant(JOINTSPACE, "(math.ldexp(c, -math.frexp(max(x, y, z))[1]) for c in (x, y, z))",
            "(x, y, z)", FROM_VECTOR),

@@ -767,30 +767,63 @@ def test_closed_pipe_exits_one_without_traceback(argv, fmt):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def _fresh_python(code):
+    """``python -c code`` in a fresh interpreter importing this package, with no
+    ORTHOGLIDE_CONFIG."""
+    env = {k: v for k, v in os.environ.items() if k != "ORTHOGLIDE_CONFIG"}
+    env["PYTHONPATH"] = str(Path(orthoglide.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_each_command_imports_only_its_own_optional_modules():
-    """orjson is imported by the long reports alone (``trajectory`` here) and
-    ``concurrent.futures`` by ``volumes --mc`` alone.  Both modules are
-    forgotten after each command, so each line names what its command imported."""
+    """numpy is imported by the array commands alone, orjson by the long reports
+    alone (``trajectory`` here) and ``concurrent.futures`` by ``volumes --mc``
+    alone.  orjson and ``concurrent.futures`` are forgotten after each command, so
+    each line names what its command imported.  numpy's C extensions cannot be
+    imported twice, so numpy is watched up to the first array command and stays."""
     code = """if True:
         import contextlib, io, sys
+        watched = ("numpy", "orjson", "concurrent.futures")
+        def loaded(label):
+            print(label, *(m for m in watched if m in sys.modules), file=sys.__stdout__)
+        import orthoglide
+        loaded("orthoglide")
         import orthoglide.cli as cli
-        watched = ("orjson", "concurrent.futures")
+        loaded("orthoglide.cli")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv in (["ik", "-L", "1", "-p", "0.2,0.3,0.1"], ["dk", "-L", "1", "-r", "1,1,1"],
                          ["jointspace", "check", "-L", "1", "-r", "1,1,1"], ["volumes", "-L", "1"],
                          ["volumes", "-L", "1", "--mc", "10000"],
                          ["trajectory", "-L", "1", "-w", "0,0,0", "-w", "0.1,0,0", "--step", "0.05"]):
                 assert cli.main(argv) == 0, argv
-                print(argv[0], *(m for m in watched if m in sys.modules), file=sys.__stdout__)
-                for name in [n for n in sys.modules if n.startswith(watched)]:
+                loaded(argv[0])
+                for name in [n for n in sys.modules if n.startswith(("orjson", "concurrent."))]:
                     del sys.modules[name]
     """
-    env = {k: v for k, v in os.environ.items() if k != "ORTHOGLIDE_CONFIG"}
-    env["PYTHONPATH"] = str(Path(orthoglide.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    lines = "ik\ndk\njointspace\nvolumes\nvolumes concurrent.futures\ntrajectory orjson\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, lines, "")
+    lines = ("orthoglide\northoglide.cli\nik\ndk\njointspace\nvolumes\n"
+             "volumes numpy concurrent.futures\ntrajectory numpy orjson\n")
+    assert _fresh_python(code) == (0, lines, "")
+
+
+def test_scalar_library_calls_import_no_numpy():
+    """The survey's scalar calls, each on a point, joint vector or direction in
+    the usable workspace, leave numpy unimported."""
+    code = """if True:
+        import sys
+        import orthoglide as og
+        params = og.ManipulatorParams(1.0)
+        p = og.CartesianPoint(0.2, 0.3, 0.1)
+        rho = og.JointVector(1.0, 1.1, 1.2)
+        assert og.classify_point(p, params) is og.WorkspaceRegion.SPHERE_INTERIOR
+        assert len(og.ik_enumerate_feasible(p, params)) == 1
+        assert og.dk_feasible(rho, params)
+        assert {og.posture_of(s.p, rho, params) for s in og.dk_both(rho, params)} == {-1, 1}
+        assert og.boundary_radius(og.SphericalDirection(0.6, 0.7), params) > 2.0
+        print("numpy" in sys.modules)
+    """
+    assert _fresh_python(code) == (0, "False\n", "")
 
 
 class TestConfig:
