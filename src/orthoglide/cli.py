@@ -21,7 +21,6 @@ being checked against the top-level options.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -435,7 +434,7 @@ def cmd_volumes(args: argparse.Namespace) -> int:
         "mc_samples": args.mc,
         "seed": args.seed,
     })
-    report["closed_form"] = dataclasses.asdict(workspace_volumes(params))
+    report["closed_form"] = workspace_volumes(params)._asdict()
     rows = [("closed", k, v, "") for k, v in report["closed_form"].items()]
     if args.mc is not None:
         if args.seed < 0:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 AXES = ("x", "y", "z")
@@ -127,8 +126,7 @@ class AxisFlags(NamedTuple):
         return tuple(a for a, f in zip(AXES, self) if f)
 
 
-@dataclass(frozen=True, slots=True)
-class Branch:
+class Branch(NamedTuple("Branch", [("sx", int), ("sy", int), ("sz", int)])):
     """Inverse-kinematics configuration indices (one sign per axis).
 
     ``+1`` selects the joint root above the TCP coordinate (leg angle in
@@ -136,26 +134,23 @@ class Branch:
     ``P``/``M`` in axis order, e.g. ``MPP`` for (-1, +1, +1).
     """
 
-    sx: int
-    sy: int
-    sz: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for axis, s in zip(AXES, (self.sx, self.sy, self.sz)):
+    def __new__(cls, sx: int, sy: int, sz: int):
+        for axis, s in zip(AXES, (sx, sy, sz)):
             if s not in (-1, 1):
                 raise ValueError(f"branch sign for axis {axis} must be -1 or +1, got {s!r}")
+        return tuple.__new__(cls, (sx, sy, sz))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     @property
     def signs(self) -> tuple[int, int, int]:
-        return (self.sx, self.sy, self.sz)
+        return tuple(self)
 
     @property
     def label(self) -> str:
-        return (
-            ("P" if self.sx > 0 else "M")
-            + ("P" if self.sy > 0 else "M")
-            + ("P" if self.sz > 0 else "M")
-        )
+        return _LABELS[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Branch":
@@ -167,6 +162,10 @@ class Branch:
         return self.label
 
 
+#: Each sign triple's label; a branch hashes and compares as its plain triple.
+_LABELS = {s: "".join("P" if c > 0 else "M" for c in s)
+           for s in itertools.product((-1, 1), repeat=3)}
+
 PPP = Branch(1, 1, 1)
 
 #: All eight branches in output order: PPP first, the rest by label.
@@ -177,8 +176,8 @@ BRANCH_ORDER: tuple[Branch, ...] = (PPP,) + tuple(sorted(
 _BRANCHES: dict[tuple[int, int, int], Branch] = {b.signs: b for b in BRANCH_ORDER}
 
 
-@dataclass(frozen=True, slots=True)
-class ManipulatorParams:
+class ManipulatorParams(NamedTuple("ManipulatorParams",
+                                   [("L", float), ("eps_geom", float), ("eps_branch", float)])):
     """Geometry parameter and tolerance policy.
 
     L:
@@ -193,22 +192,23 @@ class ManipulatorParams:
         indeterminate.  Defaults to ``1e-9 * L``.
     """
 
-    L: float
-    eps_geom: float = 1e-9
-    eps_branch: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"L must be finite and positive, got {self.L!r}")
-        if not 0 < self.eps_geom < 1e-3:
-            raise ValueError(f"eps_geom must be in (0, 1e-3), got {self.eps_geom!r}")
-        if self.eps_branch is None:
-            object.__setattr__(self, "eps_branch", 1e-9 * self.L)
-            if self.eps_branch == 0.0:
-                raise ValueError(f"L = {self.L!r} is too small: the default eps_branch, "
+    def __new__(cls, L: float, eps_geom: float = 1e-9, eps_branch: float | None = None):
+        if not (math.isfinite(L) and L > 0):
+            raise ValueError(f"L must be finite and positive, got {L!r}")
+        if not 0 < eps_geom < 1e-3:
+            raise ValueError(f"eps_geom must be in (0, 1e-3), got {eps_geom!r}")
+        if eps_branch is None:
+            eps_branch = 1e-9 * L
+            if eps_branch == 0.0:
+                raise ValueError(f"L = {L!r} is too small: the default eps_branch, "
                                  "1e-9 * L, underflows to 0")
-        if not 0 < self.eps_branch < self.L * 1e-3:
-            raise ValueError(f"eps_branch must be in (0, L*1e-3), got {self.eps_branch!r}")
+        if not 0 < eps_branch < L * 1e-3:
+            raise ValueError(f"eps_branch must be in (0, L*1e-3), got {eps_branch!r}")
+        return tuple.__new__(cls, (L, eps_geom, eps_branch))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,8 @@ def leg_residuals(
     joint centre (rho_x, 0, 0) to the TCP, and cyclically for y and z.
     A pair is model-consistent iff ``max(abs(r)) <= eps_geom``.
     """
-    L2 = params.L * params.L
+    L = params.L
+    L2 = L * L
     rx = ((p.x - rho.x) ** 2 + p.y * p.y + p.z * p.z - L2) / L2
     ry = (p.x * p.x + (p.y - rho.y) ** 2 + p.z * p.z - L2) / L2
     rz = (p.x * p.x + p.y * p.y + (p.z - rho.z) ** 2 - L2) / L2

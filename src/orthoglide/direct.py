@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -33,8 +32,7 @@ from .core import (
 _NORMAL_MIN = sys.float_info.min  # equidistant_point and plane_eval divide by no joint below it
 
 
-@dataclass(frozen=True, slots=True)
-class DkQuadratic:
+class DkQuadratic(NamedTuple):
     """The quadratic  a*t^2 + t + c = 0, normalised so that t's coefficient is 1:
     a = sum(rho_i^-2) (length^-2), c = (sum(rho_i^2) - 4L^2) / 4 (length^2).
 
@@ -100,8 +98,7 @@ def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
     about 1e-154 or an L above about 1.3e154 raises it even at rho = L
     (ROADMAP item 1).
     """
-    a, c = _quadratic(rho, params.L * params.L)
-    return DkQuadratic(a, c)
+    return DkQuadratic(*_quadratic(rho, params.L * params.L))
 
 
 def dk_solve(rho: JointVector, posture: int, params: ManipulatorParams) -> DkSolution:
@@ -128,14 +125,15 @@ def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
     applied here; feasibility policy belongs to the jointspace layer, and
     callers wanting the flag can check ``joint_limits_ok(rho)`` themselves.
     """
-    a, c = _quadratic(rho, params.L * params.L)
+    L, eps = params.L, params.eps_geom
+    a, c = _quadratic(rho, L * L)
     disc = 1.0 - 4.0 * a * c
-    if disc > params.eps_geom:
+    if disc > eps:
         # t's coefficient 1 is positive, so -(1 + sqrt(disc))/2 has no
         # cancellation; the other root comes from the product c/a.
         u = -(1.0 + math.sqrt(disc)) / 2.0
         roots = ((-1, u / a), (1, c / u))
-    elif disc >= -params.eps_geom:
+    elif disc >= -eps:
         roots = ((None, -1.0 / (2.0 * a)),)
     else:
         return []

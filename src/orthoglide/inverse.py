@@ -35,6 +35,10 @@ class IkSolution(NamedTuple):
     branch: Branch
 
 
+#: BRANCH_ORDER's branches, each after its signs as plain ints, which read faster.
+_SIGNED_ORDER = tuple((*b, b) for b in BRANCH_ORDER)
+
+
 def _radicands(p, L: float) -> tuple:
     """Per axis, L^2 minus the other two squares; floats or arrays alike."""
     x, y, z = p
@@ -81,7 +85,8 @@ def ik_branch(p: CartesianPoint, branch: Branch, params: ManipulatorParams) -> I
     branches coincide there; the singular surface is still a valid
     workspace boundary point).
     """
-    chords = _chords(p, _radicands(p, params.L), params.eps_geom * params.L * params.L)
+    L = params.L
+    chords = _chords(p, _radicands(p, L), params.eps_geom * L * L)
     return IkSolution(_branch_joints(p, chords, branch), branch)
 
 
@@ -93,16 +98,17 @@ def ik_enumerate_feasible(p: CartesianPoint, params: ManipulatorParams) -> list[
     8; points within a boundary band can return other counts (the
     workspace classifier is the authority on which case applies).
     """
+    L = params.L
     try:
-        chords = _chords(p, _radicands(p, params.L), params.eps_geom * params.L * params.L)
+        hx, hy, hz = _chords(p, _radicands(p, L), params.eps_geom * L * L)
     except RadicandNegative:
         return []
-    hi = 2.0 * params.L
-    # Per axis, each sign's joint value that is in the actuation range.
-    jx, jy, jz = [{s: v for s, v in ((-1, c - h), (1, c + h)) if 0.0 < v <= hi}
-                  for c, h in zip(p, chords)]
-    return [IkSolution(JointVector(jx[b.sx], jy[b.sy], jz[b.sz]), b)
-            for b in BRANCH_ORDER if b.sx in jx and b.sy in jy and b.sz in jz]
+    hi, (x, y, z) = 2.0 * L, p
+    # Per axis, each sign's joint value; a branch is feasible where its three are in range.
+    jx, jy, jz = {-1: x - hx, 1: x + hx}, {-1: y - hy, 1: y + hy}, {-1: z - hz, 1: z + hz}
+    return [IkSolution(JointVector(rx, ry, rz), b) for sx, sy, sz, b in _SIGNED_ORDER
+            if 0.0 < (rx := jx[sx]) <= hi and 0.0 < (ry := jy[sy]) <= hi
+            and 0.0 < (rz := jz[sz]) <= hi]
 
 
 def branch_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -> Branch:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -69,10 +68,10 @@ def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceReg
     indeterminate and no count is asserted.  Raises RadicandNegative for a
     point with a NaN coordinate.
     """
-    _real(p, _radicands(p, params.L))
+    L = params.L
+    _real(p, _radicands(p, L))
     x, y, z = p
-    return _REGIONS[_region_code(x, y, z, params.L, params.eps_geom * params.L, math.hypot,
-                                 math.sqrt)]
+    return _REGIONS[_region_code(x, y, z, L, params.eps_geom * L, math.hypot, math.sqrt)]
 
 
 #: Regions by the code ``_region_code`` gives them.
@@ -153,8 +152,7 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
 # ---------------------------------------------------------------------------
 # Volumes
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class VolumeReport:
+class VolumeReport(NamedTuple):
     """Closed-form region volumes and percentages of the serial baseline.
 
     The baseline is the (2L)^3 box a serial Cartesian machine with the same
@@ -219,8 +217,7 @@ class VolumeEstimate(NamedTuple):
     hits: int
 
 
-@dataclass(frozen=True, slots=True)
-class MonteCarloVolumeReport:
+class MonteCarloVolumeReport(NamedTuple):
     n_samples: int
     seed: int
     vol_C: VolumeEstimate
@@ -304,14 +301,11 @@ def monte_carlo_volumes(
             hits=hits,
         )
 
-    return MonteCarloVolumeReport(
-        n_samples=n_samples, seed=seed, vol_C=estimate(hits_C), vol_S=estimate(hits_S),
-        vol_G=estimate(hits_G), vol_W=estimate(hits_S + hits_G),
-    )
+    estimates = map(estimate, (hits_C, hits_S, hits_G, hits_S + hits_G))  # C, S, G and W = S + G
+    return MonteCarloVolumeReport(n_samples, seed, *estimates)
 
 
-@dataclass(frozen=True, slots=True)
-class BisectorLandmarks:
+class BisectorLandmarks(NamedTuple):
     """Where the first-octant bisector exits the sphere and the cylinder
     intersection.  Both the per-axis coordinate and the Euclidean distance
     from the origin are reported."""

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 
 CLI = "src/orthoglide/cli.py"
+CORE = "src/orthoglide/core.py"
 JOINTSPACE = "src/orthoglide/jointspace.py"
 WORKSPACE = "src/orthoglide/workspace.py"
 
@@ -71,6 +72,9 @@ FROM_VECTOR = ("tests/test_jointspace.py::TestFromVector",)
 RHO_X = ("tests/test_jointspace.py::TestBoundaryRhoX::test_nonpositive_slice_rejected",)
 BISECTOR = ("tests/test_jointspace.py::TestBoundaryRadius::test_bisector",)
 CONFIG = "tests/test_cli.py::TestConfig"
+VALUE_RECORDS = "tests/test_core.py::TestRecords"
+REMADE = (f"{VALUE_RECORDS}::test_bad_values_rejected_however_made",)
+DEFAULT_EPS = (f"{VALUE_RECORDS}::test_default_eps_branch_is_filled_in_before_the_tuple_is_made",)
 NO_NUMPY = ("tests/test_cli.py::test_each_command_imports_only_its_own_optional_modules",
             "tests/test_cli.py::test_scalar_library_calls_import_no_numpy")
 
@@ -161,6 +165,14 @@ MUTANTS = [
     # workspace: numpy is imported by the functions that make arrays, not with the module
     Mutant(WORKSPACE, "from typing import NamedTuple\n", "from typing import NamedTuple\n"
            "import numpy\n", NO_NUMPY),
+    # core: the records are NamedTuples, so no module imports dataclasses (or its inspect)
+    Mutant(CORE, "from typing import NamedTuple\n", "from typing import NamedTuple\n"
+           "import dataclasses\n", NO_NUMPY),
+    # core: _make, and so _replace, goes through the validating constructor
+    Mutant(CORE, "(sx, sy, sz))\n\n    _make = classmethod(lambda cls, fields: cls(*fields))",
+           "(sx, sy, sz))\n", REMADE),
+    Mutant(CORE, "eps_branch))\n\n    _make = classmethod(lambda cls, fields: cls(*fields))",
+           "eps_branch))\n", REMADE + DEFAULT_EPS),
     # workspace.monte_carlo_volumes: per-CPU PCG64 ranges on a thread pool
     Mutant(WORKSPACE, ".advance(3 * start)", ".advance(3 * start + 3)", MC_RANGES),
     Mutant(WORKSPACE, "with ThreadPoolExecutor(k) as pool:", "if pool := ThreadPoolExecutor(k):",

@@ -782,12 +782,15 @@ def test_each_command_imports_only_its_own_optional_modules():
     alone (``trajectory`` here) and ``concurrent.futures`` by ``volumes --mc``
     alone.  orjson and ``concurrent.futures`` are forgotten after each command, so
     each line names what its command imported.  numpy's C extensions cannot be
-    imported twice, so numpy is watched up to the first array command and stays."""
+    imported twice, so numpy is watched up to the first array command and stays.
+    ``dataclasses`` and ``inspect`` are watched up to it too: numpy imports inspect."""
     code = """if True:
         import contextlib, io, sys
         watched = ("numpy", "orjson", "concurrent.futures")
         def loaded(label):
-            print(label, *(m for m in watched if m in sys.modules), file=sys.__stdout__)
+            start_up = () if "numpy" in sys.modules else ("dataclasses", "inspect")
+            print(label, *(m for m in watched + start_up if m in sys.modules),
+                  file=sys.__stdout__)
         import orthoglide
         loaded("orthoglide")
         import orthoglide.cli as cli
@@ -809,7 +812,7 @@ def test_each_command_imports_only_its_own_optional_modules():
 
 def test_scalar_library_calls_import_no_numpy():
     """The survey's scalar calls, each on a point, joint vector or direction in
-    the usable workspace, leave numpy unimported."""
+    the usable workspace, leave numpy, dataclasses and inspect unimported."""
     code = """if True:
         import sys
         import orthoglide as og
@@ -821,9 +824,9 @@ def test_scalar_library_calls_import_no_numpy():
         assert og.dk_feasible(rho, params)
         assert {og.posture_of(s.p, rho, params) for s in og.dk_both(rho, params)} == {-1, 1}
         assert og.boundary_radius(og.SphericalDirection(0.6, 0.7), params) > 2.0
-        print("numpy" in sys.modules)
+        print(*(m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules))
     """
-    assert _fresh_python(code) == (0, "False\n", "")
+    assert _fresh_python(code) == (0, "\n", "")
 
 
 class TestConfig:

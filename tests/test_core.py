@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,10 +14,18 @@ from orthoglide import (
     JointVector,
     ManipulatorParams,
     ModelInconsistency,
+    bisector_landmarks,
+    branch_of,
+    dk_coefficients,
+    ik_branch,
+    ik_enumerate_feasible,
     joint_limits_ok,
     leg_angles,
     leg_residuals,
+    monte_carlo_volumes,
+    workspace_volumes,
 )
+from orthoglide.core import _BRANCHES
 
 ORIGIN = CartesianPoint(0.0, 0.0, 0.0)
 
@@ -77,6 +87,85 @@ class TestBranch:
         assert labels[0] == "PPP"
         assert labels[1:] == sorted(labels[1:])
         assert len(set(labels)) == 8
+
+
+class TestRecords:
+    """Every record is a NamedTuple; the two that validate do so however they are made."""
+
+    @staticmethod
+    def records():
+        params = ManipulatorParams(1.0)
+        return [PPP, params, dk_coefficients(JointVector(1.0, 1.1, 1.2), params),
+                workspace_volumes(params), monte_carlo_volumes(params, 10_000, 0),
+                bisector_landmarks(params)]
+
+    def test_records_are_immutable(self):
+        for record in self.records():
+            assert isinstance(record, tuple)
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], 1.0)
+            with pytest.raises(AttributeError):
+                record.extra = 1.0
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert ManipulatorParams(2.0, 1e-8, 1e-7) == ManipulatorParams(
+            L=2.0, eps_geom=1e-8, eps_branch=1e-7) == (2.0, 1e-8, 1e-7)
+        assert ManipulatorParams(2.0) == ManipulatorParams(L=2.0) == (2.0, 1e-9, 2e-9)
+        assert Branch(-1, 1, -1) == Branch(sx=-1, sy=1, sz=-1) == Branch._make((-1, 1, -1))
+        assert ManipulatorParams(2.0)._replace(eps_geom=1e-8) == (2.0, 1e-8, 2e-9)
+
+    def test_default_eps_branch_is_filled_in_before_the_tuple_is_made(self):
+        params = ManipulatorParams._make((3.0, 1e-9, None))
+        assert params.eps_branch == 1e-9 * 3.0 and params == ManipulatorParams(3.0)
+        with pytest.raises(ValueError, match=r"^L = 5e-324 is too small: the default "
+                                             r"eps_branch, 1e-9 \* L, underflows to 0$"):
+            params._replace(L=5e-324, eps_branch=None)
+
+    @pytest.mark.parametrize("make", [
+        lambda good, fields: type(good)(*fields),
+        lambda good, fields: type(good)._make(fields),
+        lambda good, fields: good._replace(**dict(zip(good._fields, fields))),
+        lambda good, fields: copy.copy(tuple.__new__(type(good), fields)),
+        lambda good, fields: pickle.loads(pickle.dumps(tuple.__new__(type(good), fields))),
+    ], ids=["constructor", "_make", "_replace", "copy", "pickle"])
+    @pytest.mark.parametrize("good, fields, message", [
+        (PPP, (0, 1, 1), "branch sign for axis x must be -1 or +1, got 0"),
+        (PPP, (1, 1, -2), "branch sign for axis z must be -1 or +1, got -2"),
+        (ManipulatorParams(1.0), (-1.0, 1e-9, 1e-9), "L must be finite and positive, got -1.0"),
+        (ManipulatorParams(1.0), (1.0, 1e-9, 0.0), "eps_branch must be in (0, L*1e-3), got 0.0"),
+    ])
+    def test_bad_values_rejected_however_made(self, make, good, fields, message):
+        """tuple.__new__ alone skips the check: copy and pickle remake the record from
+        its fields through the constructor, so they reject what it made."""
+        with pytest.raises(ValueError) as exc:
+            make(good, fields)
+        assert str(exc.value) == message
+
+    def test_copies_are_equal_records_of_the_same_class(self):
+        for record in self.records():
+            for twin in (copy.copy(record), copy.deepcopy(record),
+                         pickle.loads(pickle.dumps(record))):
+                assert type(twin) is type(record) and twin == record
+
+    def test_branches_are_the_very_objects_of_branch_order(self, unit_params):
+        assert list(_BRANCHES.values()) == list(BRANCH_ORDER)
+        assert all(_BRANCHES[b.signs] is b for b in BRANCH_ORDER)
+        p = CartesianPoint(0.6, 0.6, 0.6)  # in the shell: all eight branches
+        assert all(a.branch is b for a, b in zip(ik_enumerate_feasible(p, unit_params),
+                                                 BRANCH_ORDER, strict=True))
+        for b in BRANCH_ORDER:
+            made = Branch(*b)
+            assert made is not b
+            assert branch_of(p, ik_branch(p, made, unit_params).rho, unit_params) is b
+
+    def test_a_branch_hashes_and_compares_as_its_sign_triple(self):
+        twin = Branch(1, 1, 1)
+        assert twin == PPP and hash(twin) == hash(PPP) and {twin: "a"}[PPP] == "a"
+        assert PPP == (1, 1, 1) == JointVector(1, 1, 1) and hash(PPP) == hash((1, 1, 1))
+        assert type(PPP.signs) is tuple and PPP.signs == (1, 1, 1)
+        assert [str(b) for b in BRANCH_ORDER] == [b.label for b in BRANCH_ORDER] == [
+            "PPP", "MMM", "MMP", "MPM", "MPP", "PMM", "PMP", "PPM"]
+        assert all(Branch.from_label(b.label.lower()) == b for b in BRANCH_ORDER)
 
 
 class TestLegResiduals:
