@@ -98,7 +98,8 @@ def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
     about 1e-154 or an L above about 1.3e154 raises it even at rho = L
     (ROADMAP item 1).
     """
-    return DkQuadratic(*_quadratic(rho, params.L * params.L))
+    L = params.L
+    return DkQuadratic(*_quadratic(rho, L * L))
 
 
 def dk_solve(rho: JointVector, posture: int, params: ManipulatorParams) -> DkSolution:
@@ -170,7 +171,8 @@ def posture_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -
     (Euclidean distance) of the plane.
     """
     # |plane_eval| / sqrt(a) is the Euclidean distance from p to the plane.
-    grad = math.sqrt(_quadratic(rho, params.L * params.L)[0])
+    L = params.L
+    grad = math.sqrt(_quadratic(rho, L * L)[0])
     pe = plane_eval(p, rho)
     if not abs(pe) > params.eps_branch * grad:
         raise FlatConfiguration(

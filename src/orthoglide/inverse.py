@@ -137,4 +137,5 @@ def is_serial_singular(p: CartesianPoint, params: ManipulatorParams) -> AxisFlag
     (rho_i = p_i), i.e. the leg is orthogonal to its prismatic axis.
     Raises RadicandNegative for a point with a NaN coordinate.
     """
-    return _singular_axes(_real(p, _radicands(p, params.L)), params.eps_geom * params.L * params.L)
+    L = params.L
+    return _singular_axes(_real(p, _radicands(p, L)), params.eps_geom * L * L)

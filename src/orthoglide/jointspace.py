@@ -68,7 +68,8 @@ def feasibility_product(rho: JointVector, params: ManipulatorParams) -> float:
     """The jointspace membership product, 4ac of the normalised direct-
     kinematics quadratic; direct solutions exist iff it is at most
     1 + eps_geom (its discriminant 1 - product is at least -eps_geom)."""
-    a, c = _quadratic(rho, params.L * params.L)
+    L = params.L
+    a, c = _quadratic(rho, L * L)
     return 4.0 * a * c
 
 
@@ -76,7 +77,8 @@ def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
     """True iff the joint vector admits a direct solution, in the same
     zero band as ``dk_both``, *and* respects the actuation range (the
     positive-octant restriction)."""
-    a, c = _quadratic(rho, params.L * params.L)
+    L = params.L
+    a, c = _quadratic(rho, L * L)
     return 1.0 - 4.0 * a * c >= -params.eps_geom and joint_limits_ok(rho, params)
 
 
@@ -151,13 +153,13 @@ def boundary_rho_x(
     """
     if not (rho_y > 0 and rho_z > 0):
         raise ValueError(f"rho_y and rho_z must be positive, got {(rho_y, rho_z)}")
-    lo, hi = sorted((rho_y, rho_z))
-    m, M = lo / params.L, hi / params.L
+    L, (lo, hi) = params.L, sorted((rho_y, rho_z))
+    m, M = lo / L, hi / L
     e = m * m + M * M - 4.0
     if not e < 0.0:
         return ()
     u = (-e + math.sqrt(e * e - 4.0 * e * m * m / (1.0 + (lo / hi) ** 2))) / 2.0
-    return (params.L * math.sqrt(u),)
+    return (L * math.sqrt(u),)
 
 
 def boundary_vs_sphere_gap(dir: SphericalDirection, params: ManipulatorParams) -> float:

@@ -47,16 +47,19 @@ _IK_COUNTS = {
 }
 
 
-def _in_C(x2, y2, z2, L2):
-    """C membership from squared coordinates; floats or arrays alike."""
-    return (x2 + y2 <= L2) & (x2 + z2 <= L2) & (y2 + z2 <= L2)
+def _in_C(xy, xz, yz, L2, maximum):
+    """C membership from the pairwise coordinate square sums: the largest is at most L^2.
+    Floats with ``max`` or arrays with ``np.maximum`` alike; exact for NaN-free sums."""
+    return maximum(maximum(xy, xz), yz) <= L2
 
 
 def in_cylinder_intersection(p: CartesianPoint, params: ManipulatorParams) -> bool:
     """Closed membership test: all pairwise coordinate square sums <= L^2.
     Raises RadicandNegative for a point with a NaN coordinate."""
-    _real(p, _radicands(p, params.L))
-    return _in_C(p.x * p.x, p.y * p.y, p.z * p.z, params.L * params.L)
+    L = params.L
+    _real(p, _radicands(p, L))
+    x2, y2, z2 = p.x * p.x, p.y * p.y, p.z * p.z
+    return _in_C(x2 + y2, x2 + z2, y2 + z2, L * L, max)
 
 
 def classify_point(p: CartesianPoint, params: ManipulatorParams) -> WorkspaceRegion:
@@ -124,7 +127,8 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
     Raises RadicandNegative for the first step in them with a NaN radicand."""
     import numpy as np
 
-    L, band = params.L, params.eps_geom * params.L
+    L = params.L
+    band = params.eps_geom * L
     # Steps that overflow get inf and NaN columns, which are reported or raised on.
     with np.errstate(all="ignore"):
         # After the first waypoint, each segment's a + (i/n)(b - a), i = 1..n.
@@ -234,29 +238,57 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _mc_hits(ss: np.random.SeedSequence, L: float, start: int, stop: int) -> tuple[int, int, int]:
-    """C, S and G hits among rows ``start:stop`` of ``default_rng(ss)``'s
-    cube samples, drawn a block at a time into one reused buffer."""
+def _mc_hits(ss, L: float, start: int, stop: int) -> tuple[int, int, int]:
+    """C, S and G hits among rows ``start:stop`` of ``default_rng(ss)``'s cube samples,
+    ``ss`` a numpy ``SeedSequence``: each block is drawn into, and tested in, scratch
+    allocated once per range."""
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(ss).advance(3 * start))  # a draw per coordinate
     L2 = L * L
-    buf = np.empty((min(_MC_BLOCK, stop - start), 3))
+    rows = min(_MC_BLOCK, stop - start)
+    buf, floats, bools = np.empty((rows, 3)), np.empty((3, rows)), np.empty((2, rows), bool)
     hits_C = hits_S = hits_G = 0
     for lo in range(start, stop, _MC_BLOCK):
         block = buf[: stop - lo]
         rng.random(out=block)
         block *= 2.0 * L  # uniform(-L, L)'s own operations: -L + 2L * u
         block += -L
-        x, y, z = block.T
-        x2, y2, z2 = x * x, y * y, z * z
-        in_C = _in_C(x2, y2, z2, L2)
-        r2 = x2 + y2 + z2
-        in_G = in_C & (r2 > L2) & (x > 0.0) & (y > 0.0) & (z > 0.0)
-        hits_C += int(np.count_nonzero(in_C))
-        hits_S += int(np.count_nonzero(r2 < L2))
-        hits_G += int(np.count_nonzero(in_G))
+        c, s, g = _block_hits(block, L2, floats, bools)
+        hits_C += c
+        hits_S += s
+        hits_G += g
     return hits_C, hits_S, hits_G
+
+
+def _block_hits(block, L2: float, floats, bools) -> tuple[int, int, int]:
+    """C, S and G hits among the rows of ``block``, an (n, 3) float array with no NaN,
+    which is left holding its squares; ``floats`` and ``bools`` are (3, m) and (2, m)
+    scratch, m >= n.
+
+    The tests are the scalar formulas' rewritten to need fewer passes, each exactly:
+    C by ``_in_C``'s largest pairwise sum, as ``max(a, b) <= L2`` iff both are; r^2 as
+    ``(x2 + y2) + z2``, the order ``x2 + y2 + z2`` is summed in, reusing C's ``x2 + y2``;
+    the open octant as ``min(x, y, z) > 0``, which like ``x > 0 & y > 0 & z > 0`` fails
+    for +0.0 and -0.0 alike.
+    """
+    import numpy as np
+
+    n = len(block)
+    u, v, w = floats[:, :n]
+    octant, past = bools[:, :n]
+    x, y, z = block.T
+    np.greater(np.minimum(np.minimum(x, y, out=w), z, out=w), 0.0, out=octant)
+    x2, y2, z2 = np.multiply(block, block, out=block).T
+    xy = np.add(x2, y2, out=u)
+    sums = xy, np.add(x2, z2, out=v), np.add(y2, z2, out=w)
+    in_C = _in_C(*sums, L2, lambda a, b: np.maximum(a, b, out=v))
+    r2 = np.add(xy, z2, out=u)
+    hits_S = np.count_nonzero(np.less(r2, L2, out=past))
+    np.greater(r2, L2, out=past)
+    past &= in_C
+    past &= octant
+    return int(np.count_nonzero(in_C)), int(hits_S), int(np.count_nonzero(past))
 
 
 def monte_carlo_volumes(
@@ -269,9 +301,10 @@ def monte_carlo_volumes(
     given seed regardless of internal block size or CPU count.  The rows are
     split into one contiguous range of 2^14-row blocks per usable CPU, run on
     a ``ThreadPoolExecutor`` of that many workers (imported on first call);
-    each range advances its own PCG64 to its first row and keeps its working
-    memory near 1.35 MB at any ``n_samples``; numpy releases the GIL while
-    drawing and testing.  Sampling the full cube rather than one octant
+    each range advances its own PCG64 to its first row and allocates its
+    scratch once, about 0.84 MB at any ``n_samples``, which every block is
+    drawn into and tested in; numpy releases the GIL while drawing and
+    testing.  Sampling the full cube rather than one octant
     exercises the C and S membership tests in every octant; W membership uses
     the disjoint S-union-G decomposition.  Raises VolumeOutOfRange where the
     cube volume ``8 L^3`` is not a finite normal float.  numpy, like the

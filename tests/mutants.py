@@ -68,6 +68,7 @@ NEGATIVE = ("tests/test_cli.py::test_negative_values_parse_as_values",)
 MC = "tests/test_workspace.py::TestMonteCarlo"
 MC_RANGES = (f"{MC}::test_hits_independent_of_cpus_and_block",)
 MC_ERRORS = (f"{MC}::test_range_error_reaches_caller_and_threads_end",)
+BLOCK_EDGES = ("tests/test_workspace.py::test_block_hits_on_edge_rows",)
 FROM_VECTOR = ("tests/test_jointspace.py::TestFromVector",)
 RHO_X = ("tests/test_jointspace.py::TestBoundaryRhoX::test_nonpositive_slice_rejected",)
 BISECTOR = ("tests/test_jointspace.py::TestBoundaryRadius::test_bisector",)
@@ -181,6 +182,13 @@ MUTANTS = [
            MC_RANGES),
     Mutant(WORKSPACE, "[L] * k, bounds, bounds[1:]", "[L] * k, bounds[:-1], bounds[1:]",
            MC_RANGES, survives="map stops at its shortest iterable, which is bounds[1:]"),
+    # workspace._block_hits: the block test's exact rewrites of the scalar formulas
+    Mutant(WORKSPACE, "np.add(xy, z2, out=u)", "np.add(x2, np.add(y2, z2), out=u)",
+           BLOCK_EDGES),
+    Mutant(WORKSPACE, "maximum(maximum(xy, xz), yz) <= L2", "maximum(maximum(xy, xz), yz) < L2",
+           BLOCK_EDGES),
+    Mutant(WORKSPACE, "np.minimum(np.minimum(x, y, out=w), z, out=w)", "np.minimum(x, y, out=w)",
+           BLOCK_EDGES),
     # boundary_joint_vector, SphericalDirection.from_vector and boundary_rho_x
     Mutant(JOINTSPACE, "t = _radius_of(e, params)", "t = 2.0 * params.L", BISECTOR),
     Mutant(JOINTSPACE, "0 < x < math.inf and", "0 < x and", FROM_VECTOR),

@@ -286,9 +286,14 @@ class TestVolumes:
 def _per_row_hits(L, n, seed):
     """C, S and G hits of ``default_rng(seed)``'s first n cube samples,
     counted one row at a time with the scalar membership formulas."""
+    return _row_hits(np.random.default_rng(seed).uniform(-L, L, size=(n, 3)).tolist(), L)
+
+
+def _row_hits(rows, L):
+    """C, S and G hits among ``rows`` of (x, y, z) floats, by the scalar membership formulas."""
     L2 = L * L
     c = s = g = 0
-    for x, y, z in np.random.default_rng(seed).uniform(-L, L, size=(n, 3)).tolist():
+    for x, y, z in rows:
         x2, y2, z2 = x * x, y * y, z * z
         in_c = x2 + y2 <= L2 and x2 + z2 <= L2 and y2 + z2 <= L2
         r2 = x2 + y2 + z2
@@ -337,7 +342,8 @@ class TestMonteCarlo:
         assert all(type(h) is int for h in got)  # plain ints, as JSON needs
         assert mc.vol_W.hits == hits[1] + hits[2]
 
-    @pytest.mark.parametrize("L,n,seed", [(0.37, 50_000, 7), (17.3, 10_000, 2**31 + 5)])
+    @pytest.mark.parametrize("L,n,seed", [(0.37, 50_000, 7), (17.3, 10_000, 2**31 + 5),
+                                          (1e-100, 20_000, 3), (2e102, 20_000, 4)])
     def test_hit_counts_match_per_row_reference(self, L, n, seed):
         mc = monte_carlo_volumes(ManipulatorParams(L=L), n, seed)
         assert (mc.vol_C.hits, mc.vol_S.hits, mc.vol_G.hits) == _per_row_hits(L, n, seed)
@@ -455,6 +461,64 @@ class TestMonteCarlo:
         # same uniform stream scaled by L: identical hit counts
         assert big.vol_W.hits == small.vol_W.hits
         assert big.vol_W.value == pytest.approx(8 * small.vol_W.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("module", ["core", "inverse", "direct", "jointspace", "workspace", "cli"])
+def test_annotations_resolve(module):
+    """``typing.get_type_hints`` resolves every annotation of the package's functions and
+    methods: none names a module, such as numpy, that is imported only where it is used."""
+    import importlib
+    import inspect
+    import typing
+
+    mod = importlib.import_module(f"orthoglide.{module}")
+    for obj in vars(mod).values():
+        if getattr(obj, "__module__", None) == mod.__name__:
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for f in filter(inspect.isfunction, (obj, *members)):
+                typing.get_type_hints(f)
+
+
+#: Rows for the kernel's block test, by L; their squares and sums are exact at L = 45,
+#: also when L and the rows are scaled by a power of two.  At L = 45: r^2 exactly L^2; a
+#: pairwise sum exactly L^2 (in C, and in G when r^2 > L^2); coordinates +0.0 and -0.0;
+#: G's rows mirrored out of the octant.  At L = 1: rows whose (x2 + y2) + z2 and
+#: x2 + (y2 + z2) round to opposite sides of L^2, two for S, then two for G.
+EDGE_ROWS = {
+    45.0: [(5, 20, 40), (20, -20, 35), (15, 30, 30), (-15, 30, -30), (45, 0, 0), (27, 36, 0),
+           (27, 36, 10), (36, 10, 27), (10, 27, 36), (27, -36, 10), (27, 36, 45), (46, 0, 0),
+           (0.0, 27, 36), (-0.0, 27, 36), (27, -0.0, 36), (0.0, 0.0, -0.0), (30, 30, -0.0),
+           (30, 30, 30), (30, 30, -30), (30, -30, 30), (-30, 30, 30)],
+    1.0: [tuple(map(float.fromhex, row)) for row in (
+        ("0x1.19bf5d5bab78ep-1", "0x1.4e0a661f01b6dp-2", "0x1.8987e79d4c559p-1"),
+        ("0x1.3897f6c821aa1p-2", "0x1.451d1958cff60p-1", "0x1.6b5733601cce9p-1"),
+        ("0x1.3121982a4ac14p-1", "0x1.567dfe272b44ep-1", "0x1.c6eb85f03996fp-2"),
+        ("0x1.366baaa391d10p-1", "0x1.7492ea2702b57p-2", "0x1.6a0cd07ac795cp-1"))],
+}
+
+
+@pytest.mark.parametrize("k", [0, -330, 330])
+@pytest.mark.parametrize("L0", EDGE_ROWS)
+def test_block_hits_on_edge_rows(L0, k):
+    """The kernel's block test counts the edge rows as the scalar formulas do, row by row
+    and as one block whose scratch is longer than it, at L and the rows scaled by 2^k."""
+    import orthoglide.workspace as ws
+
+    rows = [tuple(math.ldexp(c, k) for c in row) for row in EDGE_ROWS[L0]]
+    L = math.ldexp(L0, k)
+    if L0 == 1.0:  # the regrouped sums are on opposite sides of L^2 for S, then for G
+        x2, y2, z2 = (np.array(rows) ** 2).T
+        r2, regrouped = (x2 + y2) + z2, x2 + (y2 + z2)
+        assert ((r2 < L * L) != (regrouped < L * L)).tolist() == [True, True, False, False]
+        assert ((r2 > L * L) != (regrouped > L * L)).tolist() == [False, False, True, True]
+    for row in rows:
+        block = np.array([row], dtype=float)
+        assert ws._block_hits(block, L * L, np.empty((3, 1)), np.empty((2, 1), bool)) == \
+            _row_hits([row], L), row
+    n = len(rows)
+    floats, bools = np.full((3, n + 5), np.nan), np.ones((2, n + 5), bool)
+    hits = ws._block_hits(np.array(rows, dtype=float), L * L, floats, bools)
+    assert hits == _row_hits(rows, L) and all(type(h) is int for h in hits)
 
 
 class TestShellGeometry:
