@@ -63,8 +63,11 @@ def _require_nonzero(rho: JointVector) -> None:
                         "equidistant line undefined")
 
 
-def _no_overflow(value, nums: tuple, rho: JointVector):
-    """``value``, from quotients ``nums[i] / rho[i]``: ZeroJoint names the first to overflow."""
+def _no_overflow(value, nums: tuple, rho: JointVector, given: str):
+    """``value``, from quotients ``nums[i] / rho[i]``, ``nums`` from ``given``: a ValueError
+    if they are not all finite, else ZeroJoint names the first quotient to overflow."""
+    if not all(map(math.isfinite, nums)):
+        raise ValueError(f"{given} is not finite")
     for a, num, r in zip(AXES, nums, rho):
         if math.isinf(num / r):
             raise ZeroJoint(a, f"rho_{a} = {r!r} is too small: {num!r} / rho_{a} overflows")
@@ -152,7 +155,7 @@ def equidistant_point(rho: JointVector, t: float) -> CartesianPoint:
     """
     _require_nonzero(rho)
     p = CartesianPoint(rho.x / 2.0 + t / rho.x, rho.y / 2.0 + t / rho.y, rho.z / 2.0 + t / rho.z)
-    return p if math.isfinite(p.x + p.y + p.z) else _no_overflow(p, (t, t, t), rho)
+    return p if math.isfinite(p.x + p.y + p.z) else _no_overflow(p, (t,) * 3, rho, f"t = {t!r}")
 
 
 def plane_eval(p: CartesianPoint, rho: JointVector) -> float:
@@ -160,7 +163,7 @@ def plane_eval(p: CartesianPoint, rho: JointVector) -> float:
     ``p_x/rho_x + p_y/rho_y + p_z/rho_z - 1``; zero iff p lies on it."""
     _require_nonzero(rho)
     value = p.x / rho.x + p.y / rho.y + p.z / rho.z - 1.0
-    return value if math.isfinite(value) else _no_overflow(value, p, rho)
+    return value if math.isfinite(value) else _no_overflow(value, p, rho, f"p = {tuple(p)}")
 
 
 def posture_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -> int:

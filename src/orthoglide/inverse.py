@@ -56,15 +56,12 @@ def _real(p: CartesianPoint, rads: tuple[float, float, float]) -> tuple[float, f
     return rads
 
 
-def _chords(p: CartesianPoint, rads: tuple, tol: float) -> tuple[float, float, float]:
-    """sqrt of each radicand of ``p``, clamped to 0 within ``tol``.  Raises RadicandNegative
-    for the first NaN one, else for the first below ``-tol`` (outside reach)."""
+def _chords(rads: tuple, tol: float, sqrt) -> tuple[tuple, tuple]:
+    """Half-chords sqrt(r * (r > 0.0) + 0.0) of ``rads``, +0.0 for r <= 0 (NaN for NaN, -inf),
+    and in-reach flags r >= -tol (False for NaN); floats with math.sqrt, arrays with np.sqrt."""
     rx, ry, rz = rads
-    if not (rx >= -tol and ry >= -tol and rz >= -tol):
-        axis, rad = next((a, r) for a, r in zip(AXES, _real(p, rads)) if r < -tol)
-        raise RadicandNegative(axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach")
-    return (math.sqrt(rx) if rx > 0.0 else 0.0, math.sqrt(ry) if ry > 0.0 else 0.0,
-            math.sqrt(rz) if rz > 0.0 else 0.0)
+    return ((sqrt(rx * (rx > 0.0) + 0.0), sqrt(ry * (ry > 0.0) + 0.0), sqrt(rz * (rz > 0.0) + 0.0)),
+            (rx >= -tol, ry >= -tol, rz >= -tol))
 
 
 def _singular_axes(rads: tuple[float, float, float], tol: float) -> AxisFlags:
@@ -86,7 +83,11 @@ def ik_branch(p: CartesianPoint, branch: Branch, params: ManipulatorParams) -> I
     workspace boundary point).
     """
     L = params.L
-    chords = _chords(p, _radicands(p, L), params.eps_geom * L * L)
+    rads = _radicands(p, L)
+    chords, reach = _chords(rads, params.eps_geom * L * L, math.sqrt)
+    if False in reach:  # the first NaN radicand, else the first out of reach
+        axis, rad = next((a, r) for a, r, ok in zip(AXES, _real(p, rads), reach) if not ok)
+        raise RadicandNegative(axis, f"axis {axis}: radicand {rad:.6e} < 0; point outside reach")
     return IkSolution(_branch_joints(p, chords, branch), branch)
 
 
@@ -99,9 +100,8 @@ def ik_enumerate_feasible(p: CartesianPoint, params: ManipulatorParams) -> list[
     workspace classifier is the authority on which case applies).
     """
     L = params.L
-    try:
-        hx, hy, hz = _chords(p, _radicands(p, L), params.eps_geom * L * L)
-    except RadicandNegative:
+    (hx, hy, hz), reach = _chords(_radicands(p, L), params.eps_geom * L * L, math.sqrt)
+    if False in reach:
         return []
     hi, (x, y, z) = 2.0 * L, p
     # Per axis, each sign's joint value; a branch is feasible where its three are in range.
@@ -121,8 +121,8 @@ def branch_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) ->
     """
     eps = params.eps_branch
     d = (rho[0] - p[0], rho[1] - p[1], rho[2] - p[2])
-    if abs(d[0]) <= eps or abs(d[1]) <= eps or abs(d[2]) <= eps:
-        axis, di = next((a, di) for a, di in zip(AXES, d) if abs(di) <= eps)
+    if not (abs(d[0]) > eps and abs(d[1]) > eps and abs(d[2]) > eps):  # NaN too
+        axis, di = next((a, di) for a, di in zip(AXES, d) if not abs(di) > eps)
         raise SerialSingularity(
             axis, f"axis {axis}: |rho - p| = {abs(di):.3e} <= eps_branch; "
             "branch sign indeterminate (theta = 90 deg)"

@@ -82,12 +82,10 @@ def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
     return 1.0 - 4.0 * a * c >= -params.eps_geom and joint_limits_ok(rho, params)
 
 
-def _radius(ex, ey, ez, L, power, sqrt):
-    """The radius t along the unit direction (ex, ey, ez): floats with ``pow`` and
-    ``math.sqrt``, or arrays with ``numpy.float_power`` and ``numpy.sqrt``, which give
-    the same bits.  Both powers call the C library's pow on each value; numpy's ``**``
-    squares by multiplying, which rounds otherwise on about 0.1 % of values."""
-    F = 1.0 / power(ex, 2) + 1.0 / power(ey, 2) + 1.0 / power(ez, 2)
+def _radius(ex, ey, ez, L, sqrt):
+    """The radius t along the unit direction (ex, ey, ez): floats with ``math.sqrt`` or
+    arrays with ``numpy.sqrt`` alike; Python and numpy round each product the same."""
+    F = 1.0 / (ex * ex) + 1.0 / (ey * ey) + 1.0 / (ez * ez)
     return 2.0 * L * sqrt(F / (F - 1.0))
 
 
@@ -109,7 +107,7 @@ def _radius_of(e: tuple[float, float, float], params: ManipulatorParams) -> floa
     ex, ey, ez = e
     if not (ex >= _MIN_COMPONENT and ey >= _MIN_COMPONENT and ez >= _MIN_COMPONENT):
         raise DirectionOnOctantBorder(f"direction {e} has a component below {_MIN_COMPONENT:g}")
-    t = _radius(ex, ey, ez, params.L, pow, math.sqrt)
+    t = _radius(ex, ey, ez, params.L, math.sqrt)
     if t < math.inf:
         return t
     raise _RadiusOutOfRange(f"L = {params.L!r} is out of range: "
@@ -127,7 +125,7 @@ def _boundary_grid(n: int, params: ManipulatorParams) -> tuple:
     cos, sin = (np.fromiter(map(f, angles), float, n) for f in (math.cos, math.sin))
     e = np.multiply.outer(cos, cos), np.multiply.outer(cos, sin), sin[:, None]
     with np.errstate(over="ignore"):
-        t = _radius(*e, params.L, np.float_power, np.sqrt)
+        t = _radius(*e, params.L, np.sqrt)
     if t.max() == math.inf:
         i, j = divmod(int(t.argmax()), n)
         boundary_radius(SphericalDirection(angles.item(i), angles.item(j)), params)

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import Branch, CartesianPoint, ManipulatorParams, VolumeOutOfRange, joint_limits_ok
-from .inverse import _branch_joints, _radicands, _real, _singular_axes
+from .inverse import _branch_joints, _chords, _radicands, _real, _singular_axes
 
 
 class WorkspaceRegion(Enum):
@@ -138,17 +138,16 @@ def _path_columns(waypoints, counts, branch: Branch, params: ManipulatorParams, 
         rads = np.array(_radicands(points, L))
         flags = _singular_axes(rads, band * L)
         codes = flags.x + 2 * flags.y + 4 * flags.z
-        below = rads < -band * L
-        chords = np.where(rads > 0.0, np.sqrt(rads), 0.0)
+        chords, reach = _chords(rads, band * L, np.sqrt)
         rho = np.array(_branch_joints(CartesianPoint(*points), chords, branch))
-        ok = ~below.any(0) & joint_limits_ok(rho, params)
+        ok = (inside := reach[0] & reach[1] & reach[2]) & joint_limits_ok(rho, params)
         halted = (codes > 0) | ~ok
         n = int(halted.argmax()) + 1 if abort and halted.any() else len(ok)
         nan = np.isnan(rads[:, :n].sum(0))
         if nan.any():
             classify_point(CartesianPoint(*points[:, nan.argmax()].tolist()), params)
         region = _region_code(*points[:, :n], L, band, _column_hypot(L, band), np.sqrt)
-    axis = np.where(below.any(0), below.argmax(0), -1)[:n]
+    axis = np.where(inside, -1, np.argmin(reach, 0))[:n]
     aborted_at = n - 1 if abort and halted[n - 1] else None
     return points[:, :n], rho[:, :n], ok[:n], codes[:n], axis, region, aborted_at
 

@@ -39,10 +39,22 @@ class Mutant(NamedTuple):
 
 CLI = "src/orthoglide/cli.py"
 CORE = "src/orthoglide/core.py"
+DIRECT = "src/orthoglide/direct.py"
+INVERSE = "src/orthoglide/inverse.py"
 JOINTSPACE = "src/orthoglide/jointspace.py"
 WORKSPACE = "src/orthoglide/workspace.py"
 
 SHARED = "tests/test_shared_formulas.py"
+SWEEP = f"{SHARED}::TestSharedFormulas"
+CHORDS = (f"{SHARED}::test_chords_are_one_rule_on_floats_and_columns",)
+ENUMERATE = (f"{SWEEP}::test_enumerate_is_the_brute_force_filter",)
+BRANCH_OF = (f"{SWEEP}::test_branch_of_returns_the_branch_order_objects",)
+DK_ROOTS = (f"{SWEEP}::test_dk_both_is_equidistant_point_at_the_roots",)
+DK_EDGES = ("tests/test_direct.py::test_discriminant_exactly_at_the_band_edges",)
+UNDERFLOW = ("tests/test_direct.py::TestEdgeInputs"
+             "::test_overflowing_sum_of_squares_has_no_solution",)
+NON_FINITE = ("tests/test_direct.py::TestNonFiniteInputs",)
+ONE_RADIUS = (f"{SHARED}::test_boundary_radius_is_one_formula_on_floats_and_arrays",)
 RECORDS = (f"{SHARED}::TestSharedFormulas::test_trajectory_records_are_the_library_answers",)
 REGION_EDGES = (f"{SHARED}::test_region_formula_makes_the_early_return_decisions",)
 GRID = (f"{SHARED}::test_boundary_sample_rows_are_the_library_answers",)
@@ -80,8 +92,9 @@ NO_NUMPY = ("tests/test_cli.py::test_each_command_imports_only_its_own_optional_
             "tests/test_cli.py::test_scalar_library_calls_import_no_numpy")
 
 MUTANTS = [
-    # workspace._path_columns, the trajectory's column pass
-    Mutant(WORKSPACE, "below = rads < -band * L", "below = rads <= -band * L", RECORDS),
+    # workspace._path_columns, the trajectory's column pass: _chords' reach flags
+    Mutant(WORKSPACE, "reach[0] & reach[1] & reach[2]", "reach[0] & reach[1]", RECORDS),
+    Mutant(WORKSPACE, "np.argmin(reach, 0)", "np.argmax(reach, 0)", RECORDS),
     Mutant(WORKSPACE, "n = int(halted.argmax()) + 1", "n = int(halted.argmax())", SUMMARY),
     Mutant(WORKSPACE, "n = int(halted.argmax()) + 1", "n = int(halted.argmax()) + 2", SUMMARY),
     Mutant(WORKSPACE, "np.isnan(rads[:, :n].sum(0))", "np.isnan(rads.sum(0))", NAN_STEP),
@@ -94,9 +107,10 @@ MUTANTS = [
            PATH_EDGES + COLUMN_HYPOT),
     Mutant(WORKSPACE, "<= 2.0**-40 * (c + L)", "<= 2.0**40 * (c + L)", CLEAR_PATH),
     Mutant(WORKSPACE, " + 2.0**-1074\n", "\n", SUBNORMAL_L),
-    # jointspace._boundary_grid: numpy's ** squares by multiplying, not by pow
-    Mutant(JOINTSPACE, "_radius(*e, params.L, np.float_power, np.sqrt)",
-           "_radius(*e, params.L, lambda v, k: v ** k, np.sqrt)", GRID),
+    # jointspace._radius: Python's ** squares by the C library's pow, numpy's by
+    # multiplying; with glibc one direction of grid 21 then gets another radius
+    Mutant(JOINTSPACE, "1.0 / (ex * ex) + 1.0 / (ey * ey) + 1.0 / (ez * ez)",
+           "1.0 / ex**2 + 1.0 / ey**2 + 1.0 / ez**2", GRID + ONE_RADIUS),
     # workspace._region_code: its own radii, then the edges
     Mutant(WORKSPACE, "hypot(x, y), hypot(x, z), hypot(y, z)",
            "hypot(x, y), hypot(x, y), hypot(y, z)", REGION_EDGES),
@@ -189,6 +203,33 @@ MUTANTS = [
            BLOCK_EDGES),
     Mutant(WORKSPACE, "np.minimum(np.minimum(x, y, out=w), z, out=w)", "np.minimum(x, y, out=w)",
            BLOCK_EDGES),
+    # direct.dk_both: the flat band's edges, the roots and their postures
+    Mutant(DIRECT, "if disc > eps:", "if disc >= eps:", DK_EDGES),
+    Mutant(DIRECT, "elif disc >= -eps:", "elif disc > -eps:", DK_EDGES),
+    Mutant(DIRECT, "roots = ((-1, u / a), (1, c / u))", "roots = ((1, u / a), (-1, c / u))",
+           DK_ROOTS),
+    Mutant(DIRECT, "roots = ((None, -1.0 / (2.0 * a)),)", "roots = ((None, -1.0 / a),)", DK_ROOTS),
+    # direct._quadratic: an underflowing a keeps 4ac at +inf, not NaN
+    Mutant(DIRECT, "max(a, math.ulp(0.0))", "a", UNDERFLOW),
+    # jointspace.dk_feasible: the same closed band as dk_both
+    Mutant(JOINTSPACE, "4.0 * a * c >= -params.eps_geom", "4.0 * a * c > -params.eps_geom",
+           DK_EDGES),
+    # direct._no_overflow: a non-finite p or t is named before any joint is blamed
+    Mutant(DIRECT, "if not all(map(math.isfinite, nums)):", "if False:", NON_FINITE),
+    # inverse._chords: the clamp to +0.0 and the reach edge, one rule for floats and columns
+    Mutant(INVERSE, "sqrt(ry * (ry > 0.0) + 0.0)", "sqrt(ry * (ry > 0.0))", CHORDS),
+    Mutant(INVERSE, "sqrt(rz * (rz > 0.0) + 0.0)", "sqrt(abs(rz))", CHORDS),
+    Mutant(INVERSE, "sqrt(rx * (rx > 0.0) + 0.0)", "sqrt(rx * (rx >= 0.0) + 0.0)", CHORDS,
+           survives="at r = +-0.0 the product is a signed zero either way, and + 0.0 makes it +0.0"),
+    Mutant(INVERSE, "(rx >= -tol, ry >= -tol", "(rx > -tol, ry >= -tol", CHORDS),
+    Mutant(INVERSE, "ry >= -tol, rz >= -tol)", "ry >= -tol, rz > -tol)", CHORDS),
+    # inverse.branch_of: the closed eps_branch band, which a NaN difference is in
+    Mutant(INVERSE, "if not (abs(d[0]) > eps and", "if not (abs(d[0]) >= eps and", BRANCH_OF),
+    Mutant(INVERSE, "if not (abs(d[0]) > eps and abs(d[1]) > eps and abs(d[2]) > eps):",
+           "if abs(d[0]) <= eps or abs(d[1]) <= eps or abs(d[2]) <= eps:", NON_FINITE),
+    # inverse.ik_enumerate_feasible: the actuation range 0 < rho <= 2L on each axis
+    Mutant(INVERSE, "if 0.0 < (rx := jx[sx])", "if 0.0 <= (rx := jx[sx])", ENUMERATE),
+    Mutant(INVERSE, "0.0 < (rz := jz[sz]) <= hi]", "0.0 < (rz := jz[sz]) < hi]", ENUMERATE),
     # boundary_joint_vector, SphericalDirection.from_vector and boundary_rho_x
     Mutant(JOINTSPACE, "t = _radius_of(e, params)", "t = 2.0 * params.L", BISECTOR),
     Mutant(JOINTSPACE, "0 < x < math.inf and", "0 < x and", FROM_VECTOR),

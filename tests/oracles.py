@@ -21,6 +21,13 @@ from orthoglide import (
 )
 
 
+def ulps(v, k):
+    """``v`` moved ``k`` ulps (either sign)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.inf if k > 0 else -math.inf)
+    return v
+
+
 def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     """Plain bisection; requires a sign change on [lo, hi]."""
     flo, fhi = f(lo), f(hi)

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -11,7 +13,10 @@ from orthoglide import (
     KinematicsError,
     ManipulatorParams,
     NoDkSolution,
+    SerialSingularity,
+    SphericalDirection,
     ZeroJoint,
+    boundary_joint_vector,
     branch_of,
     dk_both,
     dk_coefficients,
@@ -21,11 +26,13 @@ from orthoglide import (
     feasibility_product,
     ik_branch,
     ik_enumerate_feasible,
+    joint_limits_ok,
     leg_residuals,
     plane_eval,
     posture_of,
 )
-from oracles import bisect_quadratic_roots, sample_feasible_joints, sample_workspace_points
+from orthoglide.cli import main
+from oracles import bisect_quadratic_roots, sample_feasible_joints, sample_workspace_points, ulps
 
 SQRT15 = math.sqrt(1.5)
 RHO_FLAT = JointVector(SQRT15, SQRT15, SQRT15)
@@ -376,3 +383,81 @@ class TestEdgeInputs:
         rho[axis] = math.nan
         with pytest.raises(KinematicsError):
             entry(JointVector(*rho), unit_params)
+
+
+#: A band edge the discriminant can land on: near 0 it is 1 - 4ac, a multiple of
+#: 2^-53 above 0 and of 2^-52 below, so at 1e-9 its >= and > would decide alike.
+EPS_EXACT = 2.0**-30
+EXACT_PARAMS = ManipulatorParams(1.0, eps_geom=EPS_EXACT)
+
+
+def joints_with_discriminant(target):
+    """Positive joints whose discriminant, as the package computes it, is exactly
+    ``target``: boundary joints scaled toward it, then x and y moved an ulp at a time."""
+    disc = lambda rho: dk_coefficients(JointVector(*rho), EXACT_PARAMS).discriminant
+    for d in itertools.starmap(SphericalDirection, itertools.product((0.6, 0.7, 0.8), repeat=2)):
+        on, s = boundary_joint_vector(d, EXACT_PARAMS), 0.0
+        for _ in range(4):  # the discriminant falls by about 16.4 s as the joints grow by 1 + s
+            s += (disc([c * (1.0 + s) for c in on]) - target) / 16.4
+        x, y, z = (c * (1.0 + s) for c in on)
+        for kx, ky in itertools.product(range(-8, 9), repeat=2):
+            if disc(rho := JointVector(ulps(x, kx), ulps(y, ky), z)) == target:
+                return rho
+    raise AssertionError(f"no joints found with discriminant {target!r}")
+
+
+@pytest.mark.parametrize("disc, count", [
+    (EPS_EXACT, 1), (EPS_EXACT + 2.0**-53, 2),  # the flat band's top, and the next value past it
+    (-EPS_EXACT, 1), (-EPS_EXACT - 2.0**-52, 0),  # its bottom, and the next value below it
+])
+def test_discriminant_exactly_at_the_band_edges(capsys, disc, count):
+    """The band is closed at both edges: a discriminant of exactly +-eps_geom is one
+    flat solution, one representable step outside it is two solutions or none; DK,
+    the jointspace test and ``jointspace check`` each decide so."""
+    rho = joints_with_discriminant(disc)
+    sols = dk_both(rho, EXACT_PARAMS)
+    assert len(sols) == count and joint_limits_ok(rho, EXACT_PARAMS)
+    assert dk_feasible(rho, EXACT_PARAMS) is (count > 0)
+    if count == 0:
+        with pytest.raises(NoDkSolution):
+            dk_solve(rho, 1, EXACT_PARAMS)
+    elif count == 1:
+        assert sols[0].posture is None
+        for m in (-1, 1):  # the flat solution, relabelled with the posture asked for
+            assert dk_solve(rho, m, EXACT_PARAMS) == sols[0]._replace(posture=m)
+    main(["jointspace", "check", "-L", "1", "--eps-geom", repr(EPS_EXACT),
+          "-r", ",".join(map(repr, rho)), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dk_solvable"], report["on_boundary"], report["feasible"]) == (
+        count > 0, count == 1, count > 0)
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite point or parameter is an error naming it, never a
+    silent NaN, an invented sign, or a joint blamed for it."""
+
+    RHO = JointVector(1.0, 1.1, 1.2)
+
+    @pytest.mark.parametrize("p", [(math.nan, 0.1, 0.1), (0.1, 0.1, math.nan)])
+    def test_branch_of_nan_point(self, unit_params, p):
+        with pytest.raises(SerialSingularity):
+            branch_of(CartesianPoint(*p), self.RHO, unit_params)
+
+    def test_branch_of_nan_joint(self, unit_params):
+        with pytest.raises(SerialSingularity) as exc:
+            branch_of(CartesianPoint(0.1, 0.1, 0.1), JointVector(1.0, math.nan, 1.0), unit_params)
+        assert exc.value.axis == "y"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_plane_eval_of_a_non_finite_point(self, value):
+        with pytest.raises(ValueError, match="^p = .* is not finite$"):
+            plane_eval(CartesianPoint(0.1, value, 0.1), self.RHO)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_equidistant_point_at_a_non_finite_t(self, t):
+        with pytest.raises(ValueError, match="^t = .* is not finite$"):
+            equidistant_point(self.RHO, t)
+
+    def test_posture_of_a_nan_point(self, unit_params):
+        with pytest.raises(ValueError, match="^p = .* is not finite$"):
+            posture_of(CartesianPoint(math.nan, 0.1, 0.1), self.RHO, unit_params)

@@ -18,7 +18,6 @@ steps at once, on arrays, and is held to the same bits.
 import itertools
 import json
 import math
-import platform
 import random
 import warnings
 
@@ -55,10 +54,11 @@ from orthoglide import (
     posture_of,
 )
 from orthoglide.cli import main
+from orthoglide.inverse import _chords
 from orthoglide.jointspace import _radius
 from orthoglide.workspace import _REGIONS, _column_hypot, _region_code
 
-from oracles import early_return_region
+from oracles import early_return_region, ulps
 
 LENGTHS = (1.0, 2.5, 1e-3, 7e4)
 BY_LABEL = {b.label: b for b in BRANCH_ORDER}
@@ -66,13 +66,6 @@ BY_LABEL = {b.label: b for b in BRANCH_ORDER}
 
 def bits(values):
     return tuple(float.hex(float(v)) for v in values)
-
-
-def ulps(v, k):
-    """``v`` moved ``k`` ulps (either sign)."""
-    for _ in range(abs(k)):
-        v = math.nextafter(v, math.inf if k > 0 else -math.inf)
-    return v
 
 
 def exact_radicands(L):
@@ -99,6 +92,7 @@ def edge_points(L, rng):
         (-0.0, 0.0, -0.0), (L / 2, L / 2, L / 2), (2 * L, 0.0, 0.0),
         (L / math.sqrt(2), L / math.sqrt(2), L / math.sqrt(2)),
         (-0.0, L, -0.0), (L, -0.0, 0.0), (-0.0, -0.0, -L), (-0.0, 0.5 * L, -2 * L),
+        (1e-10 * L, 1e-10 * L, L),  # feasible branches with rho_z exactly 2L
         *exact_radicands(L),
     ]
     for _ in range(12):
@@ -278,6 +272,33 @@ class TestSharedFormulas:
                 assert rec["joint_limits_ok"] == joint_limits_ok(rho, params)
 
 
+@pytest.mark.parametrize("L", LENGTHS)
+def test_chords_are_one_rule_on_floats_and_columns(L):
+    """``_chords``, the one half-chord and reach rule of ``ik_branch``,
+    ``ik_enumerate_feasible`` and ``trajectory``, gives floats and columns the
+    same bits: +0.0 at and below a zero radicand, in reach down to exactly
+    ``-eps_geom * L^2``, out of reach an ulp past it and at NaN."""
+    tol = 1e-9 * L * L
+    rads = [L * L, tol, 5e-324, 0.0, -0.0, -5e-324, ulps(-tol, 1), -tol,
+            ulps(-tol, -1), -L * L, -math.inf, math.nan]
+    want = [*map(math.sqrt, rads[:3]), *[0.0] * 7, math.nan, math.nan], [True] * 8 + [False] * 4
+    scalar = [_chords((r, r, r), tol, math.sqrt) for r in rads]
+    with np.errstate(invalid="ignore"):
+        column = _chords((np.array(rads),) * 3, tol, np.sqrt)
+    for axis in range(3):
+        assert bits(column[0][axis]) == bits(s[0][axis] for s in scalar) == bits(want[0])
+        assert column[1][axis].tolist() == [s[1][axis] for s in scalar] == want[1]
+    # ik_branch raises exactly where the rule says out of reach
+    params = ManipulatorParams(L)
+    _, y, z = next(p for p in exact_radicands(L) if L * L - p[1] * p[1] - p[2] * p[2] == -tol)
+    assert bits(ik_branch(CartesianPoint(0.0, y, z), BY_LABEL["PPP"], params).rho)[0] == "0x0.0p+0"
+    while L * L - y * y - z * z == -tol:
+        y = math.nextafter(y, math.inf)
+    with pytest.raises(RadicandNegative) as exc:
+        ik_branch(CartesianPoint(0.0, y, z), BY_LABEL["PPP"], params)
+    assert exc.value.axis == "x" and ik_enumerate_feasible(CartesianPoint(0.0, y, z), params) == []
+
+
 REGION_LENGTHS = (1e-300, 1e-150, 1e-3, 1.0, 7e4, 1e150)
 
 
@@ -348,9 +369,8 @@ def test_trajectory_overflow_is_silent(capsys):
         assert rec["region"] == classify_point(CartesianPoint(*rec["p"]), params).value
 
 
-#: Grid 21 holds a direction whose radius changes if its squares are taken by
-#: multiplying, as numpy's ``**`` does, rather than by the C library's pow, as
-#: Python's ``**`` does (with glibc's pow; see the test after this one).
+#: Grid 21 holds a direction whose radius takes another last bit if its squares
+#: go through glibc's pow rather than being multiplied (see the last test).
 GRIDS = (1, 2, 3, 7, 21, 40)
 
 
@@ -376,16 +396,12 @@ def test_boundary_sample_rows_are_the_library_answers(capsys, L, fmt):
 
 def test_boundary_radius_is_one_formula_on_floats_and_arrays():
     """``_radius`` on grid 21's columns, as ``boundary-sample`` calls it, gives
-    ``boundary_radius``'s bits on every direction.  With glibc, squaring by
-    multiplying instead of by pow would change one of them."""
+    ``boundary_radius``'s bits on every direction."""
     n, params = 21, ManipulatorParams(1.0)
     angles = [(k + 0.5) * (math.pi / 2.0) / n for k in range(n)]
     cos, sin = np.array([math.cos(a) for a in angles]), np.array([math.sin(a) for a in angles])
     e = np.multiply.outer(cos, cos), np.multiply.outer(cos, sin), sin[:, None]
-    t = _radius(*e, params.L, np.float_power, np.sqrt)
+    t = _radius(*e, params.L, np.sqrt)
     want = [boundary_radius(SphericalDirection(a, b), params)
             for a, b in itertools.product(angles, angles)]
     assert bits(t.ravel()) == bits(want)
-    multiplied = _radius(*e, params.L, lambda v, k: v ** k, np.sqrt)
-    if platform.libc_ver()[0] == "glibc":
-        assert np.count_nonzero(t != multiplied) == 1
