@@ -27,7 +27,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
@@ -46,7 +46,7 @@ from .core import (
 )
 from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
-from .jointspace import _boundary_grid, dk_feasible, feasibility_product
+from .jointspace import _boundary_grid, feasibility_product
 from .workspace import _REGIONS, _path_columns, classify_point
 from .workspace import monte_carlo_volumes, workspace_volumes
 
@@ -171,10 +171,10 @@ def _base_report(command: str, params: ManipulatorParams, input_echo: dict) -> d
 def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Sequence] = (),
           key: str | None = None, items: Iterable[str] = ()) -> None:
     """Write a report to stdout: ``json.dumps(report, indent=2)``, with the
-    JSON ``items`` spliced in as the list at ``report[key]``, or CSV ``header``
-    and ``rows`` with the rest on stderr, through a ``%s`` line template
-    (``csv.writer``'s output for the fields it leaves unquoted, all that rows
-    hold), then the CSV text ``items``."""
+    JSON text ``items`` (separators included) as the list at ``report[key]``,
+    or CSV ``header`` and ``rows`` with the rest on stderr, through a ``%s``
+    line template (``csv.writer``'s output for the fields it leaves unquoted,
+    all that rows hold), then the CSV text ``items``."""
     if fmt == "csv":
         meta = {k: v for k, v in report.items() if k not in ("rows", "records", "solutions")}
         print(json.dumps(meta), file=sys.stderr)
@@ -188,8 +188,8 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
         # raw newline, so the placeholder occurs once.
         placeholder = f"\n  {_json_str(key)}: "
         head, tail = _json_indent({**report, key: []}).split(placeholder + "[]")
-        sys.stdout.write(head + placeholder)
-        sys.stdout.writelines(chain.from_iterable(zip(chain(("[\n",), repeat(",\n")), items)))
+        sys.stdout.write(head + placeholder + "[\n")
+        sys.stdout.writelines(items)
         print("\n  ]", tail, sep="")
 
 
@@ -227,42 +227,35 @@ def _chunks(fmt: str, n: int, columns: Sequence, layout: Callable[[int], str],
             kind=None) -> Iterator[str]:
     """Rows 0 .. n - 1 of a long report, ``_CHUNK`` rows to a text.  Row r is
     ``layout(kind[r])`` (``layout(0)`` without ``kind``) with its ``%s`` slots
-    filled by the texts of the first columns, and JSON rows are separated by a
-    comma and a newline.  A column is a float array, written by
-    ``_float_texts``, or a function from a slice of rows to their texts.  A
-    chunk is one list of pieces: a row of the widest kind repeated, each
-    literal that differs between kinds put in by kind, each column's texts by
-    extended-slice assignment, then a narrower kind's own tail, from its last
-    literal on, over the rest of its row; then joined."""
+    filled by the texts of the first columns; each JSON row but the report's
+    first starts with a comma and a newline.  A column is a float array,
+    written by ``_float_texts``, or a function from a slice of rows to their
+    texts.  A run of one kind is that kind's row repeated, each column's texts
+    put in by extended-slice assignment."""
     import numpy as np
 
     spell, sep = (repr, "") if fmt == "csv" else (json.dumps, ",\n")
-    kinds = [0] if kind is None else np.flatnonzero(np.bincount(kind)).tolist()
-    texts = {c: (sep + layout(c)).split("%s") for c in kinds}
-    k = 2 * max(map(len, texts.values())) - 1  # the pieces of a row
-    heads, tails = {}, {}
-    for c, literals in texts.items():  # each kind's literals, None in each column's place
-        head = heads[c] = [None] * (2 * len(literals) - 1)
-        head[::2] = literals
-        if len(head) < k:  # a narrower kind: from its last literal on, its own tail
-            heads[c], tails[c] = head[:-1], head[-1:] + [""] * (k - len(head))
-    unit = max(heads.values(), key=len)
-    lookups = [(p, {c: head[p] if p < len(head) else "" for c, head in heads.items()})
-               for p in range(0, k, 2) if len({h[p] for h in heads.values() if p < len(h)}) > 1]
-    narrow = np.isin(np.arange(kinds[-1] + 1), list(tails))
+    kind = np.broadcast_to(0, n) if kind is None else kind
+    rows = {}  # each kind's row: its literals, None in each column's place
     for i in range(0, n, _CHUNK):
         s = slice(i, min(i + _CHUNK, n))
-        pieces = unit * (s.stop - i)
-        row_kinds = () if kind is None else kind[s].tolist()
-        for p, table in lookups:
-            pieces[p::k] = map(table.__getitem__, row_kinds)
-        for j, column in enumerate(columns[:k // 2]):
-            pieces[2 * j + 1::k] = column(s) if callable(column) else _float_texts(column[s], spell)
-        for r in np.flatnonzero(narrow[kind[s]]).tolist() if tails else ():
-            tail = tails[row_kinds[r]]
-            pieces[(r + 1) * k - len(tail):(r + 1) * k] = tail
-        pieces[0] = pieces[0][len(sep):]
-        yield "".join(pieces)
+        edges = [0, *(np.flatnonzero(np.diff(kind[s])) + 1).tolist(), s.stop - i]
+        runs = list(zip(edges, edges[1:], kind[s][edges[:-1]].tolist()))
+        for c in {c for *_, c in runs} - rows.keys():
+            literals = (sep + layout(c)).split("%s")
+            row = rows[c] = [None] * (2 * len(literals) - 1)
+            row[::2] = literals
+        texts = [list(column(s)) if callable(column) else _float_texts(column[s], spell)
+                 for column in columns[:max(len(rows[c]) for *_, c in runs) // 2]]
+        out = []
+        for a, b, c in runs:
+            pieces, k = rows[c] * (b - a), len(rows[c])
+            for j, column in enumerate(texts[:k // 2]):
+                pieces[2 * j + 1::k] = column if len(runs) == 1 else column[a:b]
+            if not i + a:
+                pieces[0] = pieces[0][len(sep):]
+            out.append("".join(pieces))
+        yield "".join(out)
 
 
 def _lookup(table: Sequence[str], key) -> Callable:
@@ -456,7 +449,8 @@ def cmd_jointspace_check(args: argparse.Namespace) -> int:
     product = feasibility_product(rho, params)
     solutions = dk_both(rho, params)
     header = ("product", "dk_solvable", "joint_limits_ok", "feasible")
-    row = (product, bool(solutions), joint_limits_ok(rho, params), dk_feasible(rho, params))
+    limits = joint_limits_ok(rho, params)
+    row = (product, bool(solutions), limits, bool(solutions) and limits)
     report = _base_report("jointspace-check", params, {"rho": list(rho)})
     report.update(zip(header, row), on_boundary=len(solutions) == 1)
     _emit(report, args.fmt, header, [row])

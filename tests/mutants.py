@@ -142,16 +142,15 @@ MUTANTS = [
     Mutant(CLI, "except MemoryError:  # a step", "except OverflowError:  # a step", USAGE),
     Mutant(CLI, "except MemoryError:  # a grid", "except OverflowError:  # a grid", USAGE),
     # cli: the long reports' row writer, its chunks, the JSON list's splice
-    Mutant(CLI, '[""] * (k - len(head))', '[""] * (k - len(head) - 1)', JSON_WRITER),
-    Mutant(CLI, '[""] * (k - len(head))', '[""] * (k - len(head) + 1)', JSON_WRITER),
     Mutant(CLI, "error_axis=AXES[axis]", 'error_axis="zyx"[axis]', RECORDS),
-    Mutant(CLI, "tail = tails[row_kinds[r]]", "tail = tails[max(tails)]", RECORDS),
-    Mutant(CLI, "            pieces[(r + 1) * k - len(tail):(r + 1) * k] = tail\n", "",
-           JSON_WRITER + CSV_VALUES),
-    Mutant(CLI, "if len(head) < k:", "if len(head) < k - 2:", LAYOUT),
-    Mutant(CLI, "if p < len(h)}) > 1]", "if p < len(h)}) > 2]", LAYOUT),
-    Mutant(CLI, "        pieces[0] = pieces[0][len(sep):]\n", "", JSON_WRITER),
-    Mutant(CLI, 'repeat(",\\n")', 'repeat(",")', JSON_WRITER + STREAM),
+    Mutant(CLI, "np.diff(kind[s])) + 1)", "np.diff(kind[s])) + 0)", LAYOUT + RECORDS),
+    Mutant(CLI, "*(np.flatnonzero(np.diff(kind[s])) + 1).tolist(), ", "", LAYOUT + RECORDS),
+    Mutant(CLI, "} - rows.keys():", "}:", LAYOUT),
+    Mutant(CLI, "rows[c] * (b - a)", "rows[runs[0][2]] * (b - a)", LAYOUT + RECORDS),
+    Mutant(CLI, "if not i + a:", "if not a:", LAYOUT + RECORDS + GRID),
+    Mutant(CLI, "if not i + a:", "if False:", LAYOUT + JSON_WRITER),
+    Mutant(CLI, '(json.dumps, ",\\n")', '(json.dumps, ",")', LAYOUT + JSON_WRITER),
+    Mutant(CLI, 'placeholder + "[\\n")', 'placeholder + "[")', JSON_WRITER + STREAM),
     Mutant(CLI, "slice(i, min(i + _CHUNK, n))", "slice(i, min(i + _CHUNK + 1, n))", BLOCKS),
     Mutant(CLI, "range(0, n, _CHUNK)", "range(0, n, _CHUNK - 1)", BLOCKS),
     Mutant(CLI, "map(str, range(s.start, s.stop))", "map(str, range(s.stop - s.start))", BLOCKS),

@@ -633,10 +633,10 @@ class TestWriters:
         def items():
             seen.append(capsys.readouterr().out)
             yield "    1"
-            yield "    2"
+            yield ",\n    2"
 
         cli._emit(report, "json", key="rows", items=items())
-        assert seen == ['{\n  "command": "c",\n  "rows": ']
+        assert seen == ['{\n  "command": "c",\n  "rows": [\n']
         out = seen[0] + capsys.readouterr().out
         assert out == json.dumps({**report, "rows": [1, 2]}, indent=2) + "\n"
 
@@ -680,18 +680,22 @@ class TestWriters:
         """The row writer against a plain reference: row r is ``layout(c) %``
         the texts of the first ``layout(c).count("%s")`` columns, c its kind,
         and ``layout`` runs once for each kind a report holds.  The cases: many
-        kinds with a narrower one first, a report of one narrower kind only,
-        and a report with no kinds."""
+        kinds with a narrower one first, runs of a few kinds that end one row
+        before a chunk edge, at it and one row after it, a report of one
+        narrower kind only, and a report with no kinds."""
         monkeypatch.setattr(cli, "_CHUNK", block)
         rng = np.random.default_rng(21)
         n = 2 * max(self.CHUNKS) + 5
+        # A one-row run ends chunk 0, and the run after block + 1 spans chunks 1 and 2.
+        ends = sorted({block - 1, block, block + 1, 2 * block + 1, n} - {0})
+        runs = np.repeat([4, 1, 4, 6, 1][:len(ends)], np.diff([0, *ends]))
         floats = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 20, (2, n))
         floats[0, :3] = [math.inf, -math.nan, -0.0]
         spell, sep = (repr, "") if fmt == "csv" else (json.dumps, ",\n")
         texts = [(str(r), spell(x), spell(y)) for r, (x, y) in enumerate(floats.T.tolist())]
         mixed = rng.integers(0, 12, n)
         mixed[0] = 5
-        for kind in (mixed, np.full(n, 2), None):
+        for kind in (mixed, runs, np.full(n, 2), None):
             calls = []
 
             def layout(c):
@@ -699,7 +703,7 @@ class TestWriters:
                 return self.layout(c)
 
             columns = [lambda s: map(str, range(s.start, s.stop)), *floats]
-            got = sep.join(cli._chunks(fmt, n, columns, layout, kind))
+            got = "".join(cli._chunks(fmt, n, columns, layout, kind))
             kinds = [0] * n if kind is None else kind.tolist()
             assert sorted(calls) == sorted(set(kinds))
             rows = [self.layout(c) % texts[r][:self.layout(c).count("%s")]
