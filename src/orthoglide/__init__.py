@@ -6,6 +6,8 @@ kinematics, workspace region classification with exact solution counts,
 closed-form and Monte-Carlo volumes, and jointspace feasibility boundaries.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     AXES,
     BRANCH_ORDER,
@@ -71,58 +73,6 @@ from .workspace import (
 
 __version__ = "0.1.0"  # the one source: pyproject.toml reads it
 
-__all__ = [
-    "AXES",
-    "BRANCH_ORDER",
-    "PPP",
-    "AxisFlags",
-    "BisectorLandmarks",
-    "Branch",
-    "CartesianPoint",
-    "DirectionOnOctantBorder",
-    "DkQuadratic",
-    "DkSolution",
-    "FlatConfiguration",
-    "IkSolution",
-    "JointVector",
-    "KinematicsError",
-    "LegAngles",
-    "ManipulatorParams",
-    "ModelInconsistency",
-    "MonteCarloVolumeReport",
-    "NoDkSolution",
-    "RadicandNegative",
-    "SerialSingularity",
-    "SphericalDirection",
-    "VolumeEstimate",
-    "VolumeOutOfRange",
-    "VolumeReport",
-    "WorkspaceRegion",
-    "ZeroJoint",
-    "bisector_landmarks",
-    "boundary_joint_vector",
-    "boundary_radius",
-    "boundary_rho_x",
-    "boundary_vs_sphere_gap",
-    "branch_of",
-    "classify_point",
-    "dk_both",
-    "dk_coefficients",
-    "dk_feasible",
-    "dk_solve",
-    "equidistant_point",
-    "feasibility_product",
-    "ik_branch",
-    "ik_enumerate_feasible",
-    "in_cylinder_intersection",
-    "is_consistent",
-    "is_serial_singular",
-    "joint_limits_ok",
-    "leg_angles",
-    "leg_residuals",
-    "monte_carlo_volumes",
-    "plane_eval",
-    "posture_of",
-    "workspace_volumes",
-    "__version__",
-]
+#: Every public name imported above, and the version; the submodules are left out.
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))] + ["__version__"]

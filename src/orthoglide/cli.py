@@ -58,7 +58,6 @@ CONFIG_ENV_VAR = "ORTHOGLIDE_CONFIG"
 #: ``--config``'s default, the ``ORTHOGLIDE_CONFIG`` file; no argv word holds a NUL.
 _FROM_ENV = "\0" + CONFIG_ENV_VAR
 
-_json_str = json.encoder.encode_basestring_ascii
 #: ``json.dumps(value, indent=2)``; a report is a tree, so no cycle check.
 _json_indent = json.JSONEncoder(indent=2, check_circular=False).encode
 
@@ -186,7 +185,7 @@ def _emit(report: dict, fmt: str, header: Sequence[str] = (), rows: Iterable[Seq
     else:
         # A top-level key sits at exactly "\n  " and a JSON string holds no
         # raw newline, so the placeholder occurs once.
-        placeholder = f"\n  {_json_str(key)}: "
+        placeholder = f"\n  {json.dumps(key)}: "
         head, tail = _json_indent({**report, key: []}).split(placeholder + "[]")
         sys.stdout.write(head + placeholder + "[\n")
         sys.stdout.writelines(items)

@@ -74,9 +74,10 @@ def _no_overflow(value, nums: tuple, rho: JointVector, given: str):
     return value
 
 
-def _quadratic(rho: JointVector, L2: float) -> tuple[float, float]:
-    """``dk_coefficients``' ``(a, c)``, given ``L2 = L * L``."""
+def _quadratic(rho: JointVector, L: float) -> tuple[float, float]:
+    """``dk_coefficients``' ``(a, c)`` at the leg length ``L``, squared here as ``L * L``."""
     x, y, z = rho
+    L2 = L * L
     sx, sy, sz = x * x, y * y, z * z
     ax = 1.0 / sx if sx else math.inf
     axy = ax + (1.0 / sy if sy else math.inf)
@@ -101,8 +102,7 @@ def dk_coefficients(rho: JointVector, params: ManipulatorParams) -> DkQuadratic:
     about 1e-154 or an L above about 1.3e154 raises it even at rho = L
     (ROADMAP item 1).
     """
-    L = params.L
-    return DkQuadratic(*_quadratic(rho, L * L))
+    return DkQuadratic(*_quadratic(rho, params.L))
 
 
 def dk_solve(rho: JointVector, posture: int, params: ManipulatorParams) -> DkSolution:
@@ -129,8 +129,8 @@ def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
     applied here; feasibility policy belongs to the jointspace layer, and
     callers wanting the flag can check ``joint_limits_ok(rho)`` themselves.
     """
-    L, eps = params.L, params.eps_geom
-    a, c = _quadratic(rho, L * L)
+    eps = params.eps_geom
+    a, c = _quadratic(rho, params.L)
     disc = 1.0 - 4.0 * a * c
     if disc > eps:
         # t's coefficient 1 is positive, so -(1 + sqrt(disc))/2 has no
@@ -174,8 +174,7 @@ def posture_of(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -
     (Euclidean distance) of the plane.
     """
     # |plane_eval| / sqrt(a) is the Euclidean distance from p to the plane.
-    L = params.L
-    grad = math.sqrt(_quadratic(rho, L * L)[0])
+    grad = math.sqrt(_quadratic(rho, params.L)[0])
     pe = plane_eval(p, rho)
     if not abs(pe) > params.eps_branch * grad:
         raise FlatConfiguration(

@@ -68,8 +68,7 @@ def feasibility_product(rho: JointVector, params: ManipulatorParams) -> float:
     """The jointspace membership product, 4ac of the normalised direct-
     kinematics quadratic; direct solutions exist iff it is at most
     1 + eps_geom (its discriminant 1 - product is at least -eps_geom)."""
-    L = params.L
-    a, c = _quadratic(rho, L * L)
+    a, c = _quadratic(rho, params.L)
     return 4.0 * a * c
 
 
@@ -77,8 +76,7 @@ def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
     """True iff the joint vector admits a direct solution, in the same
     zero band as ``dk_both``, *and* respects the actuation range (the
     positive-octant restriction)."""
-    L = params.L
-    a, c = _quadratic(rho, L * L)
+    a, c = _quadratic(rho, params.L)
     return 1.0 - 4.0 * a * c >= -params.eps_geom and joint_limits_ok(rho, params)
 
 

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
     survives: str | None = None
 
 
+INIT = "src/orthoglide/__init__.py"
 CLI = "src/orthoglide/cli.py"
 CORE = "src/orthoglide/core.py"
 DIRECT = "src/orthoglide/direct.py"
@@ -88,10 +89,15 @@ CONFIG = "tests/test_cli.py::TestConfig"
 VALUE_RECORDS = "tests/test_core.py::TestRecords"
 REMADE = (f"{VALUE_RECORDS}::test_bad_values_rejected_however_made",)
 DEFAULT_EPS = (f"{VALUE_RECORDS}::test_default_eps_branch_is_filled_in_before_the_tuple_is_made",)
+PUBLIC_API = ("tests/test_public_api.py::test_public_names_are_pinned",)
 NO_NUMPY = ("tests/test_cli.py::test_each_command_imports_only_its_own_optional_modules",
             "tests/test_cli.py::test_scalar_library_calls_import_no_numpy")
 
 MUTANTS = [
+    # __init__: __all__ is every global that is neither private nor a module, and the version
+    Mutant(INIT, 'name.startswith("_") or ', "", PUBLIC_API),
+    Mutant(INIT, " or isinstance(value, _ModuleType)", "", PUBLIC_API),
+    Mutant(INIT, ' + ["__version__"]', "", PUBLIC_API),
     # workspace._path_columns, the trajectory's column pass: _chords' reach flags
     Mutant(WORKSPACE, "reach[0] & reach[1] & reach[2]", "reach[0] & reach[1]", RECORDS),
     Mutant(WORKSPACE, "np.argmin(reach, 0)", "np.argmax(reach, 0)", RECORDS),
