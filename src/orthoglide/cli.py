@@ -44,9 +44,9 @@ from .core import (
     joint_limits_ok,
     leg_residuals,
 )
-from .direct import dk_both, dk_coefficients, dk_solve, plane_eval
+from .direct import _points, _roots, dk_solve, plane_eval
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
-from .jointspace import _boundary_grid, feasibility_product
+from .jointspace import _boundary_grid
 from .workspace import _REGIONS, _path_columns, classify_point
 from .workspace import monte_carlo_volumes, workspace_volumes
 
@@ -323,6 +323,7 @@ def cmd_dk(args: argparse.Namespace) -> int:
         "posture": args.posture,
     })
     error = None
+    product, roots = _roots(rho, params)
     if args.posture is not None:
         try:
             solutions = [dk_solve(rho, args.posture, params)]
@@ -330,8 +331,8 @@ def cmd_dk(args: argparse.Namespace) -> int:
             solutions = []
             error = {"type": "no_solution", "message": str(exc)}
     else:
-        solutions = dk_both(rho, params)
-    report["discriminant"] = dk_coefficients(rho, params).discriminant
+        solutions = _points(rho, roots)
+    report["discriminant"] = 1.0 - product
     report["joint_limits_ok"] = joint_limits_ok(rho, params)
     report["solutions"] = [_dk_solution_dict(rho, s, params) for s in solutions]
     if error:
@@ -445,13 +446,12 @@ def cmd_volumes(args: argparse.Namespace) -> int:
 def cmd_jointspace_check(args: argparse.Namespace) -> int:
     params = args.params
     rho = JointVector(*args.joints)
-    product = feasibility_product(rho, params)
-    solutions = dk_both(rho, params)
+    product, roots = _roots(rho, params)
     header = ("product", "dk_solvable", "joint_limits_ok", "feasible")
     limits = joint_limits_ok(rho, params)
-    row = (product, bool(solutions), limits, bool(solutions) and limits)
+    row = (product, bool(roots), limits, bool(roots) and limits)
     report = _base_report("jointspace-check", params, {"rho": list(rho)})
-    report.update(zip(header, row), on_boundary=len(solutions) == 1)
+    report.update(zip(header, row), on_boundary=len(roots) == 1)
     _emit(report, args.fmt, header, [row])
     return EXIT_OK if row[-1] else EXIT_INFEASIBLE
 

@@ -129,19 +129,23 @@ def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
     applied here; feasibility policy belongs to the jointspace layer, and
     callers wanting the flag can check ``joint_limits_ok(rho)`` themselves.
     """
-    eps = params.eps_geom
+    return _points(rho, _roots(rho, params)[1])
+
+
+def _roots(rho: JointVector, params: ManipulatorParams) -> tuple[float, tuple]:
+    """``(4ac, roots)``, the one place DK solvability is decided: a ``(posture, t)`` per root."""
     a, c = _quadratic(rho, params.L)
-    disc = 1.0 - 4.0 * a * c
-    if disc > eps:
+    disc = 1.0 - (product := 4.0 * a * c)
+    if disc > params.eps_geom:
         # t's coefficient 1 is positive, so -(1 + sqrt(disc))/2 has no
         # cancellation; the other root comes from the product c/a.
         u = -(1.0 + math.sqrt(disc)) / 2.0
-        roots = ((-1, u / a), (1, c / u))
-    elif disc >= -eps:
-        roots = ((None, -1.0 / (2.0 * a)),)
-    else:
-        return []
-    # equidistant_point, with no joint to check: _quadratic rejected zeros.
+        return product, ((-1, u / a), (1, c / u))
+    return product, ((None, -1.0 / (2.0 * a)),) if disc >= -params.eps_geom else ()
+
+
+def _points(rho: JointVector, roots: tuple) -> list[DkSolution]:
+    """``equidistant_point`` at each of ``_roots``' roots; ``_quadratic`` rejected zero joints."""
     x, y, z = rho
     return [DkSolution(CartesianPoint(x / 2.0 + t / x, y / 2.0 + t / y, z / 2.0 + t / z), m, t)
             for m, t in roots]

@@ -33,14 +33,14 @@ from .core import (
     ManipulatorParams,
     joint_limits_ok,
 )
-from .direct import _quadratic
+from .direct import _roots
 
 #: Smallest direction component boundary_radius accepts: below it F overflows.
 _MIN_COMPONENT = 1.3e-154
 
 
 class _RadiusOutOfRange(KinematicsError, ValueError):
-    """A boundary radius that overflows: ``L`` is too large.  Also a ValueError."""
+    """A boundary radius or length that overflows: ``L`` is too large.  Also a ValueError."""
 
 
 class SphericalDirection(NamedTuple):
@@ -65,19 +65,16 @@ class SphericalDirection(NamedTuple):
 
 
 def feasibility_product(rho: JointVector, params: ManipulatorParams) -> float:
-    """The jointspace membership product, 4ac of the normalised direct-
-    kinematics quadratic; direct solutions exist iff it is at most
-    1 + eps_geom (its discriminant 1 - product is at least -eps_geom)."""
-    a, c = _quadratic(rho, params.L)
-    return 4.0 * a * c
+    """The jointspace membership product, 4ac of the normalised direct-kinematics
+    quadratic, read from the one decision ``dk_both`` makes too: direct solutions
+    exist iff it is at most 1 + eps_geom (the discriminant 1 - product >= -eps_geom)."""
+    return _roots(rho, params)[0]
 
 
 def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
-    """True iff the joint vector admits a direct solution, in the same
-    zero band as ``dk_both``, *and* respects the actuation range (the
-    positive-octant restriction)."""
-    a, c = _quadratic(rho, params.L)
-    return 1.0 - 4.0 * a * c >= -params.eps_geom and joint_limits_ok(rho, params)
+    """True iff ``dk_both``'s decision finds a direct solution (building no point)
+    *and* the joints respect the actuation range (the positive-octant restriction)."""
+    return bool(_roots(rho, params)[1]) and joint_limits_ok(rho, params)
 
 
 def _radius(ex, ey, ez, L, sqrt):
@@ -146,6 +143,7 @@ def boundary_rho_x(
     1/d = m^2/(1 + r^2), m = min(rho_y, rho_z)/L, r = min/max: nothing over- or
     underflows before the answer.  The roots multiply to e/d and add to -e, so one
     is positive exactly when e < 0; empty means the line never crosses the surface.
+    An answer that overflows (it is below 2L, so L > 9e307) raises as ``boundary_radius`` does.
     """
     if not (rho_y > 0 and rho_z > 0):
         raise ValueError(f"rho_y and rho_z must be positive, got {(rho_y, rho_z)}")
@@ -155,7 +153,9 @@ def boundary_rho_x(
     if not e < 0.0:
         return ()
     u = (-e + math.sqrt(e * e - 4.0 * e * m * m / (1.0 + (lo / hi) ** 2))) / 2.0
-    return (L * math.sqrt(u),)
+    if (rho_x := L * math.sqrt(u)) < math.inf:
+        return (rho_x,)
+    raise _RadiusOutOfRange(f"L = {L!r} is out of range: the boundary rho_x overflows")
 
 
 def boundary_vs_sphere_gap(dir: SphericalDirection, params: ManipulatorParams) -> float:

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .core import Branch, CartesianPoint, ManipulatorParams, VolumeOutOfRange, joint_limits_ok
 from .inverse import _branch_joints, _chords, _radicands, _real, _singular_axes
+from .jointspace import _RadiusOutOfRange
 
 
 class WorkspaceRegion(Enum):
@@ -349,12 +350,10 @@ class BisectorLandmarks(NamedTuple):
 
 
 def bisector_landmarks(params: ManipulatorParams) -> BisectorLandmarks:
-    """Bisector exit points: sphere at per-axis L/sqrt3 (distance L);
-    cylinder intersection at per-axis L/sqrt2 (distance L*sqrt(3/2))."""
+    """Bisector exit points: sphere at per-axis L/sqrt3 (distance L); cylinder intersection
+    at per-axis L/sqrt2 (distance L*sqrt(3/2): above L = 1.4678e308 it overflows and raises
+    as ``boundary_radius`` does)."""
     L = params.L
-    return BisectorLandmarks(
-        sphere_axis_coord=L / math.sqrt(3.0),
-        sphere_distance=L,
-        shell_axis_coord=L / math.sqrt(2.0),
-        shell_distance=L * math.sqrt(1.5),
-    )
+    if not (shell := L * math.sqrt(1.5)) < math.inf:
+        raise _RadiusOutOfRange(f"L = {L!r} is out of range: L*sqrt(3/2) overflows")
+    return BisectorLandmarks(L / math.sqrt(3.0), L, L / math.sqrt(2.0), shell)

@@ -85,6 +85,10 @@ BLOCK_EDGES = ("tests/test_workspace.py::test_block_hits_on_edge_rows",)
 FROM_VECTOR = ("tests/test_jointspace.py::TestFromVector",)
 RHO_X = ("tests/test_jointspace.py::TestBoundaryRhoX::test_nonpositive_slice_rejected",)
 BISECTOR = ("tests/test_jointspace.py::TestBoundaryRadius::test_bisector",)
+RHO_X_OVERFLOW = ("tests/test_jointspace.py::TestBoundaryRhoX"
+                  "::test_overflowing_root_is_a_typed_value_error",)
+SHELL_OVERFLOW = ("tests/test_workspace.py::TestBisectorLandmarks"
+                  "::test_overflowing_shell_distance_is_a_typed_value_error",)
 CONFIG = "tests/test_cli.py::TestConfig"
 VALUE_RECORDS = "tests/test_core.py::TestRecords"
 REMADE = (f"{VALUE_RECORDS}::test_bad_values_rejected_however_made",)
@@ -208,17 +212,19 @@ MUTANTS = [
            BLOCK_EDGES),
     Mutant(WORKSPACE, "np.minimum(np.minimum(x, y, out=w), z, out=w)", "np.minimum(x, y, out=w)",
            BLOCK_EDGES),
-    # direct.dk_both: the flat band's edges, the roots and their postures
-    Mutant(DIRECT, "if disc > eps:", "if disc >= eps:", DK_EDGES),
-    Mutant(DIRECT, "elif disc >= -eps:", "elif disc > -eps:", DK_EDGES),
-    Mutant(DIRECT, "roots = ((-1, u / a), (1, c / u))", "roots = ((1, u / a), (-1, c / u))",
+    # direct._roots, the one DK solvability decision: the flat band's edges, the roots
+    # and their postures
+    Mutant(DIRECT, "if disc > params.eps_geom:", "if disc >= params.eps_geom:", DK_EDGES),
+    Mutant(DIRECT, "if disc >= -params.eps_geom else ()", "if disc > -params.eps_geom else ()",
+           DK_EDGES),
+    Mutant(DIRECT, "product, ((-1, u / a), (1, c / u))", "product, ((1, u / a), (-1, c / u))",
            DK_ROOTS),
-    Mutant(DIRECT, "roots = ((None, -1.0 / (2.0 * a)),)", "roots = ((None, -1.0 / a),)", DK_ROOTS),
+    Mutant(DIRECT, "((None, -1.0 / (2.0 * a)),)", "((None, -1.0 / a),)", DK_ROOTS),
+    # cli: dk's discriminant and jointspace check's on_boundary read that decision
+    Mutant(CLI, '["discriminant"] = 1.0 - product', '["discriminant"] = product', GOLDEN),
+    Mutant(CLI, "on_boundary=len(roots) == 1", "on_boundary=len(roots) < 2", DK_EDGES),
     # direct._quadratic: an underflowing a keeps 4ac at +inf, not NaN
     Mutant(DIRECT, "max(a, math.ulp(0.0))", "a", UNDERFLOW),
-    # jointspace.dk_feasible: the same closed band as dk_both
-    Mutant(JOINTSPACE, "4.0 * a * c >= -params.eps_geom", "4.0 * a * c > -params.eps_geom",
-           DK_EDGES),
     # direct._no_overflow: a non-finite p or t is named before any joint is blamed
     Mutant(DIRECT, "if not all(map(math.isfinite, nums)):", "if False:", NON_FINITE),
     # inverse._chords: the clamp to +0.0 and the reach edge, one rule for floats and columns
@@ -242,6 +248,11 @@ MUTANTS = [
            "(x, y, z)", FROM_VECTOR),
     Mutant(JOINTSPACE, "if not (rho_y > 0 and rho_z > 0):", "if rho_y <= 0 or rho_z <= 0:",
            RHO_X),
+    # boundary_rho_x and bisector_landmarks: a length that overflows raises, never inf
+    Mutant(JOINTSPACE, "if (rho_x := L * math.sqrt(u)) < math.inf:",
+           "if (rho_x := L * math.sqrt(u)) <= math.inf:", RHO_X_OVERFLOW),
+    Mutant(WORKSPACE, "if not (shell := L * math.sqrt(1.5)) < math.inf:",
+           "if not (shell := L * math.sqrt(1.5)) <= math.inf:", SHELL_OVERFLOW),
 ]
 
 

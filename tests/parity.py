@@ -26,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_VERSION = (3, 10)
+#: The bisector joints of the flat configuration at L = 1, sqrt(3/2) on each axis.
+FLAT = "1.224744871391589,1.224744871391589,1.224744871391589"
 
 ARGVS = [
     *([*argv, fmt] for fmt in ("--json", "--csv") for argv in (
@@ -34,8 +36,11 @@ ARGVS = [
         ["ik", "-L", "2.5", "-p", "0.5,-0.25,0.125", "-b", "PMP"],
         ["dk", "-L", "1", "-r", "1,1.1,1.2"],
         ["dk", "-L", "1", "-r", "0.5,0.5,0.5"],
+        ["dk", "-L", "1", "-r", "1,1.1,1.2", "-m", "-1"],
+        ["dk", "-L", "1", "-r", FLAT],
         ["jointspace", "check", "-L", "1", "-r", "1,1,1"],
         ["jointspace", "check", "-L", "1", "-r", "3,3,3"],
+        ["jointspace", "check", "-L", "1", "-r", FLAT],
         ["volumes", "-L", "1"],
         ["volumes", "-L", "1e-3"],
     )),

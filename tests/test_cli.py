@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import orthoglide
-from orthoglide import RadicandNegative, __version__, cli
+from orthoglide import RadicandNegative, __version__, cli, direct
 from orthoglide.cli import main
 from orthoglide.jointspace import SphericalDirection
 from orthoglide.workspace import _usable_cpus
@@ -476,6 +476,27 @@ class TestJointspaceCommand:
             assert list(row) == ["phi", "theta", "t", "rho_x", "rho_y", "rho_z"]
             e = SphericalDirection(row["phi"], row["theta"]).unit_vector()
             assert [row["rho_x"], row["rho_y"], row["rho_z"]] == [row["t"] * c for c in e]
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("command", [["dk"], ["jointspace", "check"]])
+@pytest.mark.parametrize("joints, code", [
+    ("1,1.1,1.2", 0),  # two solutions
+    ("1.224744871391589,1.224744871391589,1.224744871391589", 0),  # the flat one
+    ("3,3,3", 1),  # none
+])
+def test_one_quadratic_per_report(capsys, monkeypatch, command, joints, code, fmt):
+    """``dk`` and ``jointspace check`` read their solutions, product and discriminant
+    from one decision, so each report makes the DK quadratic once.  It is counted in
+    every module that holds it, however that module imports it."""
+    calls = []
+    quadratic = direct._quadratic
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orthoglide.") and getattr(module, "_quadratic", None) is quadratic:
+            monkeypatch.setattr(module, "_quadratic",
+                                lambda *args: calls.append(args) or quadratic(*args))
+    assert run(capsys, [*command, "-L", "1", "-r", joints, fmt])[0] == code
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fmt", ["--json", "--csv"])

@@ -237,6 +237,13 @@ class TestBoundaryRhoX:
                 rho = JointVector(rx, y * L, z * L)
                 assert feasibility_product(rho, params) == pytest.approx(1.0, abs=1e-9)
 
+    def test_overflowing_root_is_a_typed_value_error(self):
+        """The root is below 2L, so from about L = 9e307 it can overflow: an error, not inf."""
+        with pytest.raises(KinematicsError, match="the boundary rho_x overflows$") as exc:
+            boundary_rho_x(5e307, 5e307, ManipulatorParams(L=1e308))
+        assert isinstance(exc.value, ValueError)
+        assert boundary_rho_x(4e307, 4e307, ManipulatorParams(L=8e307))[0] < math.inf
+
     def test_nonpositive_slice_rejected(self, unit_params):
         for rho_y, rho_z in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
             with pytest.raises(ValueError):

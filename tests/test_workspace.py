@@ -11,6 +11,7 @@ import pytest
 
 from orthoglide import (
     CartesianPoint,
+    KinematicsError,
     ManipulatorParams,
     PPP,
     RadicandNegative,
@@ -565,6 +566,13 @@ class TestBisectorLandmarks:
         assert c * c * 3 == pytest.approx(1.0, abs=1e-12)  # on the sphere
         s = lm.shell_axis_coord
         assert s * s * 2 == pytest.approx(1.0, abs=1e-12)  # on every cylinder wall
+
+    def test_overflowing_shell_distance_is_a_typed_value_error(self):
+        """L * sqrt(3/2) overflows from about L = 1.4678e308: an error, not inf."""
+        with pytest.raises(KinematicsError, match=r"L\*sqrt\(3/2\) overflows$") as exc:
+            bisector_landmarks(ManipulatorParams(L=1.7e308))
+        assert isinstance(exc.value, ValueError)
+        assert bisector_landmarks(ManipulatorParams(L=1.4678e308)).shell_distance < math.inf
 
     def test_linear_scaling(self):
         lm = bisector_landmarks(ManipulatorParams(L=3.0))
