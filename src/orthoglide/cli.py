@@ -44,7 +44,7 @@ from .core import (
     joint_limits_ok,
     leg_residuals,
 )
-from .direct import _points, _roots, dk_solve, plane_eval
+from .direct import _pick, _points, _roots, plane_eval
 from .inverse import ik_branch, ik_enumerate_feasible, is_serial_singular
 from .jointspace import _boundary_grid
 from .workspace import _REGIONS, _path_columns, classify_point
@@ -323,16 +323,15 @@ def cmd_dk(args: argparse.Namespace) -> int:
         "posture": args.posture,
     })
     error = None
-    product, roots = _roots(rho, params)
+    _, disc, roots = _roots(rho, params)
+    solutions = _points(rho, roots)
     if args.posture is not None:
         try:
-            solutions = [dk_solve(rho, args.posture, params)]
+            solutions = [_pick(solutions, args.posture)]
         except NoDkSolution as exc:
             solutions = []
             error = {"type": "no_solution", "message": str(exc)}
-    else:
-        solutions = _points(rho, roots)
-    report["discriminant"] = 1.0 - product
+    report["discriminant"] = disc
     report["joint_limits_ok"] = joint_limits_ok(rho, params)
     report["solutions"] = [_dk_solution_dict(rho, s, params) for s in solutions]
     if error:
@@ -446,7 +445,7 @@ def cmd_volumes(args: argparse.Namespace) -> int:
 def cmd_jointspace_check(args: argparse.Namespace) -> int:
     params = args.params
     rho = JointVector(*args.joints)
-    product, roots = _roots(rho, params)
+    product, _, roots = _roots(rho, params)
     header = ("product", "dk_solvable", "joint_limits_ok", "feasible")
     limits = joint_limits_ok(rho, params)
     row = (product, bool(roots), limits, bool(roots) and limits)

@@ -85,6 +85,10 @@ class VolumeOutOfRange(KinematicsError, ValueError):
     ValueError, like the other out-of-range parameter errors."""
 
 
+class _RadiusOutOfRange(KinematicsError, ValueError):
+    """A boundary radius or length that overflows: ``L`` is too large.  Also a ValueError."""
+
+
 # ---------------------------------------------------------------------------
 # Value types
 # ---------------------------------------------------------------------------
@@ -232,8 +236,8 @@ def leg_residuals(
 
 
 def is_consistent(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -> bool:
-    """True iff all three leg residuals are within ``eps_geom``."""
-    return max(abs(r) for r in leg_residuals(p, rho, params)) <= params.eps_geom
+    """True iff all three leg residuals are within ``eps_geom``; a NaN one is not."""
+    return all(abs(r) <= params.eps_geom for r in leg_residuals(p, rho, params))
 
 
 def joint_limits_ok(rho: JointVector, params: ManipulatorParams) -> bool:
@@ -257,11 +261,11 @@ def leg_angles(p: CartesianPoint, rho: JointVector, params: ManipulatorParams) -
     floating-point length exactly L would otherwise produce NaN).
     """
     if not is_consistent(p, rho, params):
-        worst = max(abs(r) for r in leg_residuals(p, rho, params))
-        raise ModelInconsistency(
-            f"(p, rho) violates the bar-link constraints: max |residual| = {worst:.3e} "
-            f"> eps_geom = {params.eps_geom:.3e}"
-        )
+        res = leg_residuals(p, rho, params)
+        nan = [axis for axis, r in zip(AXES, res) if math.isnan(r)]
+        worst = (f"the {nan[0]} residual is NaN" if nan else
+                 f"max |residual| = {max(map(abs, res)):.3e} > eps_geom = {params.eps_geom:.3e}")
+        raise ModelInconsistency(f"(p, rho) violates the bar-link constraints: {worst}")
     angles = []
     for axis, pi_, ri in zip(AXES, p, rho):
         c = (pi_ - ri) / params.L

@@ -113,12 +113,17 @@ def dk_solve(rho: JointVector, posture: int, params: ManipulatorParams) -> DkSol
     """
     if posture not in (-1, 1):
         raise ValueError(f"posture index must be -1 or +1, got {posture!r}")
-    sols = dk_both(rho, params)
-    if not sols:
+    return _pick(dk_both(rho, params), posture)
+
+
+def _pick(solutions: list[DkSolution], posture: int) -> DkSolution:
+    """``dk_solve``'s pick among ``dk_both``'s solutions for a posture of -1 or +1: that
+    posture's, or the flat one relabelled with it; NoDkSolution when there is none."""
+    if not solutions:
         raise NoDkSolution("joint vector outside the direct-solution region")
-    if len(sols) == 1:
-        return sols[0]._replace(posture=posture)
-    return sols[0] if posture == -1 else sols[1]
+    if len(solutions) == 1:
+        return solutions[0]._replace(posture=posture)
+    return solutions[0] if posture == -1 else solutions[1]
 
 
 def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
@@ -129,23 +134,25 @@ def dk_both(rho: JointVector, params: ManipulatorParams) -> list[DkSolution]:
     applied here; feasibility policy belongs to the jointspace layer, and
     callers wanting the flag can check ``joint_limits_ok(rho)`` themselves.
     """
-    return _points(rho, _roots(rho, params)[1])
+    return _points(rho, _roots(rho, params)[2])
 
 
-def _roots(rho: JointVector, params: ManipulatorParams) -> tuple[float, tuple]:
-    """``(4ac, roots)``, the one place DK solvability is decided: a ``(posture, t)`` per root."""
+def _roots(rho: JointVector, params: ManipulatorParams) -> tuple[float, float, tuple]:
+    """``(4ac, 1 - 4ac, roots)``, the one place DK solvability is decided: the product,
+    the discriminant and a ``(posture, t)`` per root."""
     a, c = _quadratic(rho, params.L)
     disc = 1.0 - (product := 4.0 * a * c)
     if disc > params.eps_geom:
         # t's coefficient 1 is positive, so -(1 + sqrt(disc))/2 has no
         # cancellation; the other root comes from the product c/a.
         u = -(1.0 + math.sqrt(disc)) / 2.0
-        return product, ((-1, u / a), (1, c / u))
-    return product, ((None, -1.0 / (2.0 * a)),) if disc >= -params.eps_geom else ()
+        return product, disc, ((-1, u / a), (1, c / u))
+    return product, disc, ((None, -1.0 / (2.0 * a)),) if disc >= -params.eps_geom else ()
 
 
 def _points(rho: JointVector, roots: tuple) -> list[DkSolution]:
-    """``equidistant_point`` at each of ``_roots``' roots; ``_quadratic`` rejected zero joints."""
+    """The point on the equidistant line at each ``(posture, t)`` of ``roots``, the one
+    place the line is spelled; the caller has rejected a zero joint."""
     x, y, z = rho
     return [DkSolution(CartesianPoint(x / 2.0 + t / x, y / 2.0 + t / y, z / 2.0 + t / z), m, t)
             for m, t in roots]
@@ -158,7 +165,7 @@ def equidistant_point(rho: JointVector, t: float) -> CartesianPoint:
     whatever t is.
     """
     _require_nonzero(rho)
-    p = CartesianPoint(rho.x / 2.0 + t / rho.x, rho.y / 2.0 + t / rho.y, rho.z / 2.0 + t / rho.z)
+    p = _points(rho, ((None, t),))[0].p
     return p if math.isfinite(p.x + p.y + p.z) else _no_overflow(p, (t,) * 3, rho, f"t = {t!r}")
 
 

@@ -29,18 +29,14 @@ from typing import NamedTuple
 from .core import (
     DirectionOnOctantBorder,
     JointVector,
-    KinematicsError,
     ManipulatorParams,
+    _RadiusOutOfRange,
     joint_limits_ok,
 )
 from .direct import _roots
 
 #: Smallest direction component boundary_radius accepts: below it F overflows.
 _MIN_COMPONENT = 1.3e-154
-
-
-class _RadiusOutOfRange(KinematicsError, ValueError):
-    """A boundary radius or length that overflows: ``L`` is too large.  Also a ValueError."""
 
 
 class SphericalDirection(NamedTuple):
@@ -74,7 +70,7 @@ def feasibility_product(rho: JointVector, params: ManipulatorParams) -> float:
 def dk_feasible(rho: JointVector, params: ManipulatorParams) -> bool:
     """True iff ``dk_both``'s decision finds a direct solution (building no point)
     *and* the joints respect the actuation range (the positive-octant restriction)."""
-    return bool(_roots(rho, params)[1]) and joint_limits_ok(rho, params)
+    return bool(_roots(rho, params)[2]) and joint_limits_ok(rho, params)
 
 
 def _radius(ex, ey, ez, L, sqrt):

@@ -22,8 +22,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import Branch, CartesianPoint, ManipulatorParams, VolumeOutOfRange, joint_limits_ok
+from .core import _RadiusOutOfRange
 from .inverse import _branch_joints, _chords, _radicands, _real, _singular_axes
-from .jointspace import _RadiusOutOfRange
 
 
 class WorkspaceRegion(Enum):

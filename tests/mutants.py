@@ -52,6 +52,9 @@ ENUMERATE = (f"{SWEEP}::test_enumerate_is_the_brute_force_filter",)
 BRANCH_OF = (f"{SWEEP}::test_branch_of_returns_the_branch_order_objects",)
 DK_ROOTS = (f"{SWEEP}::test_dk_both_is_equidistant_point_at_the_roots",)
 DK_EDGES = ("tests/test_direct.py::test_discriminant_exactly_at_the_band_edges",)
+DK_PICK = ("tests/test_direct.py::TestSolve::test_home_lower_posture",
+           "tests/test_cli.py::TestDkCommand::test_single_posture")
+NAN_JOINT = ("tests/test_core.py::TestLegAngles::test_nan_joint_is_inconsistent_on_every_axis",)
 UNDERFLOW = ("tests/test_direct.py::TestEdgeInputs"
              "::test_overflowing_sum_of_squares_has_no_solution",)
 NON_FINITE = ("tests/test_direct.py::TestNonFiniteInputs",)
@@ -213,16 +216,24 @@ MUTANTS = [
     Mutant(WORKSPACE, "np.minimum(np.minimum(x, y, out=w), z, out=w)", "np.minimum(x, y, out=w)",
            BLOCK_EDGES),
     # direct._roots, the one DK solvability decision: the flat band's edges, the roots
-    # and their postures
+    # and their postures, and the discriminant dk reports
     Mutant(DIRECT, "if disc > params.eps_geom:", "if disc >= params.eps_geom:", DK_EDGES),
     Mutant(DIRECT, "if disc >= -params.eps_geom else ()", "if disc > -params.eps_geom else ()",
            DK_EDGES),
-    Mutant(DIRECT, "product, ((-1, u / a), (1, c / u))", "product, ((1, u / a), (-1, c / u))",
-           DK_ROOTS),
+    Mutant(DIRECT, "((-1, u / a), (1, c / u))", "((1, u / a), (-1, c / u))", DK_ROOTS),
     Mutant(DIRECT, "((None, -1.0 / (2.0 * a)),)", "((None, -1.0 / a),)", DK_ROOTS),
-    # cli: dk's discriminant and jointspace check's on_boundary read that decision
-    Mutant(CLI, '["discriminant"] = 1.0 - product', '["discriminant"] = product', GOLDEN),
+    Mutant(DIRECT, "return product, disc, ((-1,", "return product, product, ((-1,", GOLDEN),
+    Mutant(DIRECT, "return product, disc, ((None,", "return product, product, ((None,", GOLDEN),
+    # direct._pick, dk_solve's and dk -m's pick: the posture's root, the flat one relabelled
+    Mutant(DIRECT, "return solutions[0] if posture == -1 else solutions[1]",
+           "return solutions[1] if posture == -1 else solutions[0]", DK_PICK),
+    Mutant(DIRECT, "return solutions[0]._replace(posture=posture)", "return solutions[0]",
+           DK_EDGES),
+    # cli: jointspace check's on_boundary reads that decision
     Mutant(CLI, "on_boundary=len(roots) == 1", "on_boundary=len(roots) < 2", DK_EDGES),
+    # core.is_consistent: a NaN residual is outside eps_geom on every axis
+    Mutant(CORE, "all(abs(r) <= params.eps_geom for r in leg_residuals(p, rho, params))",
+           "max(abs(r) for r in leg_residuals(p, rho, params)) <= params.eps_geom", NAN_JOINT),
     # direct._quadratic: an underflowing a keeps 4ac at +inf, not NaN
     Mutant(DIRECT, "max(a, math.ulp(0.0))", "a", UNDERFLOW),
     # direct._no_overflow: a non-finite p or t is named before any joint is blamed

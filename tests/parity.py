@@ -38,6 +38,8 @@ ARGVS = [
         ["dk", "-L", "1", "-r", "0.5,0.5,0.5"],
         ["dk", "-L", "1", "-r", "1,1.1,1.2", "-m", "-1"],
         ["dk", "-L", "1", "-r", FLAT],
+        ["dk", "-L", "1", "-r", FLAT, "-m", "1"],
+        ["dk", "-L", "1", "-r", "3,3,3", "-m", "-1"],
         ["jointspace", "check", "-L", "1", "-r", "1,1,1"],
         ["jointspace", "check", "-L", "1", "-r", "3,3,3"],
         ["jointspace", "check", "-L", "1", "-r", FLAT],

@@ -479,7 +479,8 @@ class TestJointspaceCommand:
 
 
 @pytest.mark.parametrize("fmt", ["--json", "--csv"])
-@pytest.mark.parametrize("command", [["dk"], ["jointspace", "check"]])
+@pytest.mark.parametrize("command", [
+    ["dk"], ["jointspace", "check"], ["dk", "-m", "-1"], ["dk", "-m", "1"]])
 @pytest.mark.parametrize("joints, code", [
     ("1,1.1,1.2", 0),  # two solutions
     ("1.224744871391589,1.224744871391589,1.224744871391589", 0),  # the flat one
@@ -487,8 +488,9 @@ class TestJointspaceCommand:
 ])
 def test_one_quadratic_per_report(capsys, monkeypatch, command, joints, code, fmt):
     """``dk`` and ``jointspace check`` read their solutions, product and discriminant
-    from one decision, so each report makes the DK quadratic once.  It is counted in
-    every module that holds it, however that module imports it."""
+    from one decision, and ``dk -m`` picks from those solutions, so each report makes
+    the DK quadratic once.  It is counted in every module that holds it, however that
+    module imports it."""
     calls = []
     quadratic = direct._quadratic
     for name, module in list(sys.modules.items()):

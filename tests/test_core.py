@@ -19,6 +19,7 @@ from orthoglide import (
     dk_coefficients,
     ik_branch,
     ik_enumerate_feasible,
+    is_consistent,
     joint_limits_ok,
     leg_angles,
     leg_residuals,
@@ -285,6 +286,16 @@ class TestLegAngles:
     def test_inconsistent_pair_rejected(self, unit_params):
         with pytest.raises(ModelInconsistency):
             leg_angles(ORIGIN, JointVector(1.5, 1.0, 1.0), unit_params)
+
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_nan_joint_is_inconsistent_on_every_axis(self, unit_params, axis):
+        """A NaN residual is outside eps_geom wherever it comes in the order, and
+        the error names it."""
+        p = CartesianPoint(0.1, 0.2, 0.3)
+        rho = ik_branch(p, PPP, unit_params).rho._replace(**{axis: math.nan})
+        assert not is_consistent(p, rho, unit_params)
+        with pytest.raises(ModelInconsistency, match=f"the {axis} residual is NaN"):
+            leg_angles(p, rho, unit_params)
 
     def test_cosine_reconstructs_argument(self, unit_params):
         p = CartesianPoint(-0.2, 0.5, 0.1)
